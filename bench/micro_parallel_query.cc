@@ -135,8 +135,8 @@ int main() {
 
   // --- Tracing overhead --------------------------------------------
   // Attaching per-query traces must not change results and must cost
-  // (nearly) nothing: the traced collect-then-refine path re-runs the
-  // same arithmetic in the same order, plus a handful of clock reads.
+  // (nearly) nothing: a traced query runs the same scan loop in the same
+  // order, plus a handful of clock reads.
   {
     const size_t threads = std::min<size_t>(
         4, std::max<size_t>(1, ThreadPool::HardwareThreads()));

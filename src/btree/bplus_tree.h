@@ -54,13 +54,14 @@ struct TreeCheckOptions {
 /// of threads; Insert(), Delete(), BulkLoad(), and ValidateInvariants()
 /// — whose IoStats save/restore assumes a quiescent pool — take it
 /// exclusive, so one writer proceeds alone while readers drain. This is
-/// a deliberately coarse scheme: per-node latch crabbing buys nothing
-/// while every page access funnels through the BufferPool's single
-/// latch, so it is deferred until that latch is sharded (ROADMAP item
-/// 4). One caveat: a RangeScan callback runs under the shared latch
-/// and must not call back into the tree at all — a mutating operation
-/// self-deadlocks, and even num_entries()/height() would re-enter the
-/// shared latch, which std::shared_mutex does not permit recursively.
+/// a deliberately coarse scheme: the owning ViTriIndex already
+/// serializes writers against queries with its own latch, so per-node
+/// latch crabbing would buy no concurrency until that index-level
+/// latch is relaxed. One caveat: a RangeScan callback runs under the
+/// shared latch and must not call back into the tree at all — a
+/// mutating operation self-deadlocks, and even num_entries()/height()
+/// would re-enter the shared latch, which std::shared_mutex does not
+/// permit recursively.
 /// See DESIGN.md §13 and the lock catalog in §14.
 ///
 /// Page 0 of the pager is the tree's meta page; interior pages hold

@@ -30,13 +30,68 @@ using storage::MemPager;
 
 namespace {
 
-// Contiguous copy of the query summary's ViTri positions, so the
-// full-evaluation refinement paths can compute every candidate-to-query
-// center distance with one batch-kernel call per candidate.
-linalg::FrameMatrix QueryPositionMatrix(const std::vector<ViTri>& query) {
-  linalg::FrameMatrix m;
-  for (const ViTri& q : query) m.AppendRow(q.position);
-  return m;
+// The ViTri centers, gathered for one transform fit or drift check. The
+// index keeps a single in-memory copy of each position (inside its
+// ViTri); those calls are rare and queries read positions from the tree.
+std::vector<linalg::Vec> Positions(const std::vector<ViTri>& vitris) {
+  std::vector<linalg::Vec> positions;
+  positions.reserve(vitris.size());
+  for (const ViTri& v : vitris) positions.push_back(v.position);
+  return positions;
+}
+
+Result<OneDimensionalTransform> FitTransform(const ViTriIndexOptions& options,
+                                             const std::vector<ViTri>& vitris) {
+  const std::vector<linalg::Vec> positions = Positions(vitris);
+  return options.transform_factory
+             ? options.transform_factory(positions)
+             : OneDimensionalTransform::Fit(positions, options.reference,
+                                            options.margin_factor);
+}
+
+// Full evaluation, shared by the sequential scan and the degraded
+// fallback: returns a function that evaluates one candidate against
+// every query ViTri, accumulating shared frame estimates per video. The
+// candidate's center distances come from one batch-kernel sweep over a
+// contiguous copy of the query positions.
+auto FullEvaluation(const std::vector<ViTri>& query,
+                    std::vector<double>* shared, QueryCosts* costs) {
+  linalg::FrameMatrix query_positions;
+  for (const ViTri& q : query) query_positions.AppendRow(q.position);
+  return [&query, shared, costs, query_positions = std::move(query_positions),
+          d2 = std::vector<double>(query.size())](
+             const ViTri& candidate) mutable {
+    linalg::SquaredDistanceBatch(candidate.position, query_positions, d2);
+    for (size_t qi = 0; qi < query.size(); ++qi) {
+      ++costs->similarity_evals;
+      const double est = EstimatedSharedFrames(query[qi], candidate, d2[qi]);
+      if (est > 0.0 && candidate.video_id < shared->size()) {
+        (*shared)[candidate.video_id] += est;
+      }
+    }
+  };
+}
+
+// Fills in the costs a query's own counters cannot see: the pool's page
+// accesses since `before` and the wall time since `watch` started.
+void FinishCosts(const BufferPool& pool, const IoSnapshot& before,
+                 const Stopwatch& watch, QueryCosts* costs) {
+  const IoSnapshot delta = pool.stats().Snapshot() - before;
+  costs->page_accesses = delta.logical_reads;
+  costs->physical_reads = delta.physical_reads;
+  costs->cpu_seconds = watch.ElapsedSeconds();
+}
+
+// The k best matches: similarity descending, ties by video id ascending.
+std::vector<VideoMatch> TopK(std::vector<VideoMatch> matches, size_t k) {
+  std::sort(matches.begin(), matches.end(),
+            [](const VideoMatch& a, const VideoMatch& b) {
+              return a.similarity > b.similarity ||
+                     (a.similarity == b.similarity &&
+                      a.video_id < b.video_id);
+            });
+  if (matches.size() > k) matches.resize(k);
+  return matches;
 }
 
 }  // namespace
@@ -49,6 +104,11 @@ Result<ViTriIndex> ViTriIndex::Build(const ViTriSet& set,
   if (set.dimension != options.dimension) {
     return Status::InvalidArgument("dimension mismatch");
   }
+  for (const ViTri& v : set.vitris) {
+    if (v.dimension() != options.dimension) {
+      return Status::InvalidArgument("ViTri dimension mismatch");
+    }
+  }
   ViTriIndex index;
   index.options_ = options;
   {
@@ -57,19 +117,11 @@ Result<ViTriIndex> ViTriIndex::Build(const ViTriSet& set,
     WriterLock lock(*index.latch_);
     index.vitris_ = set.vitris;
     index.frame_counts_ = set.frame_counts;
-    index.positions_.reserve(set.vitris.size());
-    for (const ViTri& v : set.vitris) {
-      if (v.dimension() != options.dimension) {
-        return Status::InvalidArgument("ViTri dimension mismatch");
-      }
-      index.positions_.push_back(v.position);
-    }
-    VITRI_ASSIGN_OR_RETURN(
-        OneDimensionalTransform t,
-        options.transform_factory
-            ? options.transform_factory(index.positions_)
-            : OneDimensionalTransform::Fit(index.positions_, options.reference,
-                                           options.margin_factor));
+    index.stored_videos_ = static_cast<size_t>(
+        std::count_if(set.frame_counts.begin(), set.frame_counts.end(),
+                      [](uint32_t frames) { return frames > 0; }));
+    VITRI_ASSIGN_OR_RETURN(OneDimensionalTransform t,
+                           FitTransform(options, index.vitris_));
     index.transform_ = std::make_unique<OneDimensionalTransform>(std::move(t));
     VITRI_RETURN_IF_ERROR(index.LoadTree());
   }
@@ -134,6 +186,7 @@ Status ViTriIndex::Insert(uint32_t video_id, uint32_t num_frames,
       return Status::InvalidArgument("ViTri dimension mismatch");
     }
   }
+  VITRI_RETURN_IF_ERROR(CheckInsertVideoIds(video_id, vitris));
   if (wal_ != nullptr) {
     // Log-then-apply: the insert must be recoverable before any of it
     // becomes visible. Replay re-applies committed records in order, so
@@ -151,6 +204,8 @@ Status ViTriIndex::ApplyInsert(uint32_t video_id, uint32_t num_frames,
   if (video_id >= frame_counts_.size()) {
     frame_counts_.resize(video_id + 1, 0);
   }
+  stored_videos_ -= frame_counts_[video_id] > 0 ? 1 : 0;
+  stored_videos_ += num_frames > 0 ? 1 : 0;
   frame_counts_[video_id] = num_frames;
   for (const ViTri& v : vitris) {
     if (v.dimension() != options_.dimension) {
@@ -162,7 +217,6 @@ Status ViTriIndex::ApplyInsert(uint32_t video_id, uint32_t num_frames,
     v.Serialize(&value);
     VITRI_RETURN_IF_ERROR(tree_->Insert(key, rid, value));
     vitris_.push_back(v);
-    positions_.push_back(v.position);
   }
   VITRI_METRIC_COUNTER("index.inserts")->Increment(vitris.size());
   VITRI_DCHECK_OK(ValidateInvariantsLocked());
@@ -189,20 +243,14 @@ Result<std::vector<VideoMatch>> ViTriIndex::RankResults(
     if (shared_by_video[vid] <= 0.0) continue;
     const uint32_t frames = frame_counts_[vid];
     if (frames == 0) continue;
+    // Each operand is widened before the sum: two u32 counts wrap.
     const double sim = std::clamp(
         2.0 * shared_by_video[vid] /
-            static_cast<double>(query_frames + frames),
+            (static_cast<double>(query_frames) + static_cast<double>(frames)),
         0.0, 1.0);
     matches.push_back(VideoMatch{vid, sim});
   }
-  std::sort(matches.begin(), matches.end(),
-            [](const VideoMatch& a, const VideoMatch& b) {
-              return a.similarity > b.similarity ||
-                     (a.similarity == b.similarity &&
-                      a.video_id < b.video_id);
-            });
-  if (matches.size() > k) matches.resize(k);
-  return matches;
+  return TopK(std::move(matches), k);
 }
 
 Status ViTriIndex::KnnScanTree(const std::vector<ViTri>& query,
@@ -211,215 +259,117 @@ Status ViTriIndex::KnnScanTree(const std::vector<ViTri>& query,
                                std::vector<double>* shared,
                                QueryCosts* costs,
                                QueryTrace* trace) const {
-  // Evaluates `record` against one query ViTri, accumulating shared
-  // frame estimates.
-  auto evaluate = [&](const ViTri& candidate, size_t query_index) {
-    ++costs->similarity_evals;
-    const double est =
-        EstimatedSharedFrames(query[query_index], candidate);
-    if (est > 0.0 && candidate.video_id < shared->size()) {
-      (*shared)[candidate.video_id] += est;
-    }
+  // One B+-tree range search per scan, each carrying the query ranges
+  // whose candidates it yields. Naive: one scan per query range, so
+  // overlapping ranges re-read the same leaves (the paper's naive
+  // method). Composed: one scan per merged range, carrying the query
+  // ranges it contains in query order. Every query range lies inside
+  // exactly one merged range, so composition changes which leaves are
+  // read, never which (candidate, query ViTri) pairs are evaluated.
+  struct Scan {
+    double lo = 0.0;
+    double hi = 0.0;
+    std::span<const RangeSpec> ranges;
   };
-
-  if (trace == nullptr) {
-    if (method == KnnMethod::kNaive) {
-      // One range search per query ViTri; candidates in overlapping
-      // ranges are re-read and re-evaluated (the paper's naive method).
-      for (const RangeSpec& r : ranges) {
-        ++costs->range_searches;
-        auto scan_result = tree_->RangeScan(
-            r.lo, r.hi,
-            [&](double /*key*/, uint64_t /*rid*/,
-                std::span<const uint8_t> value) {
-              ++costs->candidates;
-              auto candidate =
-                  ViTri::Deserialize(value, options_.dimension);
-              if (candidate.ok()) evaluate(*candidate, r.query_index);
-              return true;
-            });
-        VITRI_RETURN_IF_ERROR(scan_result.status());
-      }
-      return Status::OK();
-    }
-
-    // Query composition: merge overlapping ranges, then evaluate each
-    // scanned record against every query ViTri whose range covers it.
+  std::vector<Scan> scans;
+  std::vector<RangeSpec> carried;
+  if (method == KnnMethod::kNaive) {
+    for (const RangeSpec& r : ranges) scans.push_back({r.lo, r.hi, {&r, 1}});
+  } else {
+    TraceSpanScope compose_span(trace, "compose", pool_.get());
     std::vector<KeyRange> to_merge;
     to_merge.reserve(ranges.size());
-    for (const RangeSpec& r : ranges) {
-      to_merge.push_back(KeyRange{r.lo, r.hi});
+    for (const RangeSpec& r : ranges) to_merge.push_back(KeyRange{r.lo, r.hi});
+    // Reserved up front: the spans below point into `carried`, which
+    // never holds more than every range once.
+    carried.reserve(ranges.size());
+    for (const KeyRange& m : ComposeKeyRanges(std::move(to_merge))) {
+      const size_t first = carried.size();
+      for (const RangeSpec& r : ranges) {
+        if (r.lo >= m.lo && r.hi <= m.hi) carried.push_back(r);
+      }
+      scans.push_back({m.lo, m.hi, std::span(carried).subspan(first)});
     }
-    const std::vector<KeyRange> merged =
-        ComposeKeyRanges(std::move(to_merge));
-    for (const KeyRange& m : merged) {
-      ++costs->range_searches;
-      auto scan_result = tree_->RangeScan(
-          m.lo, m.hi,
-          [&](double key, uint64_t /*rid*/,
-              std::span<const uint8_t> value) {
-            ++costs->candidates;
-            auto candidate =
-                ViTri::Deserialize(value, options_.dimension);
-            if (!candidate.ok()) return true;
-            for (const RangeSpec& r : ranges) {
-              if (key >= r.lo && key <= r.hi) {
-                evaluate(*candidate, r.query_index);
-              }
-            }
-            return true;
-          });
-      VITRI_RETURN_IF_ERROR(scan_result.status());
-    }
-    return Status::OK();
   }
 
-  // Traced path: the SAME streaming loop as above — collecting
-  // candidates for a separate refine pass would copy every record and
-  // evict the pool's hot working set (measured ~80% slowdown), and
-  // clocking every candidate individually costs more than the
-  // refinement itself. Instead the whole loop runs under one "scan"
-  // span, a handful of candidates from the *first* range search are
-  // timed, and the per-candidate mean extrapolated to all candidates
-  // is carved off the end of the scan span as the "refine" span
-  // (QueryTrace::SplitLastSpan; DESIGN.md §12). After the first range
-  // the callback is byte-identical to the untraced one, so the traced
-  // hot loop carries no sampling branches. The evaluation order is
-  // untouched, so results stay bit-identical to the untraced path.
+  // Refinement: the candidate against each carried range that holds its
+  // key. Tracing times the first kTraceMaxSamples candidates and carves
+  // their mean cost, scaled to every candidate, off the end of the scan
+  // span as the "refine" span (QueryTrace::SplitLastSpan; DESIGN.md §12):
+  // clocking every candidate would cost more than refining it. Each
+  // sample has the calibrated clock-pair cost subtracted. Untraced, the
+  // sample budget is 0, so no clock is read.
   constexpr size_t kTraceMaxSamples = 8;
   using TraceClock = std::chrono::steady_clock;
-  // A sampled callback costs tens of nanoseconds — the same order as
-  // the clock-read pair around it — so the calibrated clock cost
-  // (kTraceClockPairSeconds, measured at process start) is subtracted
-  // from every sample to keep the estimate unbiased.
-  const double clock_pair_seconds = kTraceClockPairSeconds;
-  const uint64_t candidates_before = costs->candidates;
+  const size_t sample_budget = trace != nullptr ? kTraceMaxSamples : 0;
   size_t sampled = 0;
   double sampled_seconds = 0.0;
-
-  if (method == KnnMethod::kNaive) {
-    auto process = [&](const RangeSpec& r,
-                       std::span<const uint8_t> value) {
-      ++costs->candidates;
-      auto candidate = ViTri::Deserialize(value, options_.dimension);
-      if (candidate.ok()) evaluate(*candidate, r.query_index);
-    };
-    TraceSpanScope scan_span(trace, "scan", pool_.get());
-    for (size_t ri = 0; ri < ranges.size(); ++ri) {
-      const RangeSpec& r = ranges[ri];
-      ++costs->range_searches;
-      Result<uint64_t> scan_result = ri == 0
-          ? tree_->RangeScan(
-                r.lo, r.hi,
-                [&](double /*key*/, uint64_t /*rid*/,
-                    std::span<const uint8_t> value) {
-                  const bool sample = sampled < kTraceMaxSamples;
-                  TraceClock::time_point t0;
-                  if (sample) t0 = TraceClock::now();
-                  process(r, value);
-                  if (sample) {
-                    sampled_seconds += std::max(
-                        0.0, std::chrono::duration<double>(
-                                 TraceClock::now() - t0)
-                                     .count() -
-                                 clock_pair_seconds);
-                    ++sampled;
-                  }
-                  return true;
-                })
-          : tree_->RangeScan(
-                r.lo, r.hi,
-                [&](double /*key*/, uint64_t /*rid*/,
-                    std::span<const uint8_t> value) {
-                  process(r, value);
-                  return true;
-                });
-      VITRI_RETURN_IF_ERROR(scan_result.status());
-    }
-  } else {
-    std::vector<KeyRange> to_merge;
-    to_merge.reserve(ranges.size());
-    for (const RangeSpec& r : ranges) {
-      to_merge.push_back(KeyRange{r.lo, r.hi});
-    }
-    std::vector<KeyRange> merged;
-    {
-      TraceSpanScope compose_span(trace, "compose", pool_.get());
-      merged = ComposeKeyRanges(std::move(to_merge));
-    }
-    auto process = [&](double key, std::span<const uint8_t> value) {
-      ++costs->candidates;
-      auto candidate = ViTri::Deserialize(value, options_.dimension);
-      if (!candidate.ok()) return;
-      for (const RangeSpec& r : ranges) {
-        if (key >= r.lo && key <= r.hi) {
-          evaluate(*candidate, r.query_index);
-        }
+  const uint64_t candidates_before = costs->candidates;
+  std::span<const RangeSpec> scan_ranges;
+  auto refine = [&](double key, std::span<const uint8_t> value) {
+    ++costs->candidates;
+    auto candidate = ViTri::Deserialize(value, options_.dimension);
+    if (!candidate.ok()) return;
+    for (const RangeSpec& r : scan_ranges) {
+      if (key < r.lo || key > r.hi) continue;
+      ++costs->similarity_evals;
+      const double est =
+          EstimatedSharedFrames(query[r.query_index], *candidate);
+      if (est > 0.0 && candidate->video_id < shared->size()) {
+        (*shared)[candidate->video_id] += est;
       }
-    };
+    }
+  };
+  const btree::ScanCallback on_record =
+      [&](double key, uint64_t /*rid*/, std::span<const uint8_t> value) {
+        if (sampled < sample_budget) {
+          const TraceClock::time_point t0 = TraceClock::now();
+          refine(key, value);
+          sampled_seconds += std::max(
+              0.0,
+              std::chrono::duration<double>(TraceClock::now() - t0).count() -
+                  kTraceClockPairSeconds);
+          ++sampled;
+        } else {
+          refine(key, value);
+        }
+        return true;
+      };
+  {
     TraceSpanScope scan_span(trace, "scan", pool_.get());
-    for (size_t mi = 0; mi < merged.size(); ++mi) {
-      const KeyRange& m = merged[mi];
+    for (const Scan& scan : scans) {
       ++costs->range_searches;
-      Result<uint64_t> scan_result = mi == 0
-          ? tree_->RangeScan(
-                m.lo, m.hi,
-                [&](double key, uint64_t /*rid*/,
-                    std::span<const uint8_t> value) {
-                  const bool sample = sampled < kTraceMaxSamples;
-                  TraceClock::time_point t0;
-                  if (sample) t0 = TraceClock::now();
-                  process(key, value);
-                  if (sample) {
-                    sampled_seconds += std::max(
-                        0.0, std::chrono::duration<double>(
-                                 TraceClock::now() - t0)
-                                     .count() -
-                                 clock_pair_seconds);
-                    ++sampled;
-                  }
-                  return true;
-                })
-          : tree_->RangeScan(
-                m.lo, m.hi,
-                [&](double key, uint64_t /*rid*/,
-                    std::span<const uint8_t> value) {
-                  process(key, value);
-                  return true;
-                });
-      VITRI_RETURN_IF_ERROR(scan_result.status());
+      scan_ranges = scan.ranges;
+      VITRI_RETURN_IF_ERROR(
+          tree_->RangeScan(scan.lo, scan.hi, on_record).status());
     }
   }
-  // The scan span was just recorded (its scope closed above via the
-  // branch exits); carve the estimated refinement share off its end.
-  double refine_estimate = 0.0;
-  if (sampled > 0) {
-    refine_estimate =
-        sampled_seconds / static_cast<double>(sampled) *
-        static_cast<double>(costs->candidates - candidates_before);
+  if (trace != nullptr) {
+    const double refine_estimate =
+        sampled == 0 ? 0.0
+                     : sampled_seconds / static_cast<double>(sampled) *
+                           static_cast<double>(costs->candidates -
+                                               candidates_before);
+    trace->SplitLastSpan("refine", refine_estimate);
   }
-  trace->SplitLastSpan("refine", refine_estimate);
   return Status::OK();
 }
 
-void ViTriIndex::EvaluateInMemory(const std::vector<ViTri>& query,
+void ViTriIndex::EvaluateInMemory(std::string_view caller, const Status& cause,
+                                  const std::vector<ViTri>& query,
                                   std::vector<double>* shared,
                                   QueryCosts* costs) const {
-  // Every candidate is evaluated against every query ViTri, so the
-  // candidate's center distances come from one batch-kernel sweep over
-  // the contiguous query-position matrix.
-  const linalg::FrameMatrix qpos = QueryPositionMatrix(query);
-  std::vector<double> d2(query.size());
+  VITRI_LOG(kWarn) << caller << " degraded to in-memory evaluation: "
+                   << cause.ToString();
+  VITRI_METRIC_COUNTER("query.degraded")->Increment();
+  costs->degraded = true;
+  costs->candidates = 0;
+  costs->similarity_evals = 0;
+  std::fill(shared->begin(), shared->end(), 0.0);
+  auto evaluate = FullEvaluation(query, shared, costs);
   for (const ViTri& candidate : vitris_) {
     ++costs->candidates;
-    linalg::SquaredDistanceBatch(candidate.position, qpos, d2);
-    for (size_t qi = 0; qi < query.size(); ++qi) {
-      ++costs->similarity_evals;
-      const double est = EstimatedSharedFrames(query[qi], candidate, d2[qi]);
-      if (est > 0.0 && candidate.video_id < shared->size()) {
-        (*shared)[candidate.video_id] += est;
-      }
-    }
+    evaluate(candidate);
   }
 }
 
@@ -440,18 +390,11 @@ Result<std::vector<VideoMatch>> ViTriIndex::KnnCompute(
   const Status scan =
       KnnScanTree(query, ranges, method, &shared, local, trace);
   if (scan.IsCorruption()) {
-    // The tree hit a quarantined page. Serve the query from the
-    // in-memory copy: same answer (the key ranges only ever *prune*
-    // zero-contribution candidates), no index acceleration.
-    VITRI_LOG(kWarn) << "Knn degraded to in-memory evaluation: "
-                        << scan.ToString();
-    VITRI_METRIC_COUNTER("query.degraded")->Increment();
-    local->degraded = true;
-    local->candidates = 0;
-    local->similarity_evals = 0;
-    std::fill(shared.begin(), shared.end(), 0.0);
+    // The tree hit a quarantined page. Same answer from the in-memory
+    // copy (the key ranges only ever *prune* zero-contribution
+    // candidates), no index acceleration.
     TraceSpanScope refine_span(trace, "refine", pool_.get());
-    EvaluateInMemory(query, &shared, local);
+    EvaluateInMemory("Knn", scan, query, &shared, local);
   } else if (!scan.ok()) {
     return scan;
   }
@@ -469,10 +412,7 @@ Result<std::vector<VideoMatch>> ViTriIndex::Knn(
   QueryCosts local;
   auto result = KnnCompute(query, query_frames, k, method, &local, trace);
   if (!result.ok()) return result;
-  const IoSnapshot delta = pool_->stats().Snapshot() - before;
-  local.page_accesses = delta.logical_reads;
-  local.physical_reads = delta.physical_reads;
-  local.cpu_seconds = watch.ElapsedSeconds();
+  FinishCosts(*pool_, before, watch, &local);
   if (trace != nullptr) trace->End();
   if (costs != nullptr) *costs = local;
   VITRI_METRIC_COUNTER("query.knn.count")->Increment();
@@ -545,10 +485,7 @@ Result<std::vector<std::vector<VideoMatch>>> ViTriIndex::BatchKnn(
   if (costs != nullptr) {
     QueryCosts total;
     for (const QueryCosts& local : locals) total += local;
-    const IoSnapshot delta = pool_->stats().Snapshot() - before;
-    total.page_accesses = delta.logical_reads;
-    total.physical_reads = delta.physical_reads;
-    total.cpu_seconds = watch.ElapsedSeconds();
+    FinishCosts(*pool_, before, watch, &total);
     *costs = total;
   }
   return results;
@@ -567,8 +504,7 @@ Result<std::vector<VideoMatch>> ViTriIndex::SequentialScan(
   local.range_searches = 1;
 
   std::vector<double> shared(frame_counts_.size(), 0.0);
-  const linalg::FrameMatrix qpos = QueryPositionMatrix(query);
-  std::vector<double> d2(query.size());
+  auto evaluate = FullEvaluation(query, &shared, &local);
   constexpr double kInf = std::numeric_limits<double>::infinity();
   auto scan_result = tree_->RangeScan(
       -kInf, kInf,
@@ -576,36 +512,18 @@ Result<std::vector<VideoMatch>> ViTriIndex::SequentialScan(
           std::span<const uint8_t> value) {
         ++local.candidates;
         auto candidate = ViTri::Deserialize(value, options_.dimension);
-        if (!candidate.ok()) return true;
-        linalg::SquaredDistanceBatch(candidate->position, qpos, d2);
-        for (size_t qi = 0; qi < query.size(); ++qi) {
-          ++local.similarity_evals;
-          const double est =
-              EstimatedSharedFrames(query[qi], *candidate, d2[qi]);
-          if (est > 0.0 && candidate->video_id < shared.size()) {
-            shared[candidate->video_id] += est;
-          }
-        }
+        if (candidate.ok()) evaluate(*candidate);
         return true;
       });
   if (scan_result.status().IsCorruption()) {
-    VITRI_LOG(kWarn)
-        << "SequentialScan degraded to in-memory evaluation: "
-        << scan_result.status().ToString();
-    local.degraded = true;
-    local.candidates = 0;
-    local.similarity_evals = 0;
-    std::fill(shared.begin(), shared.end(), 0.0);
-    EvaluateInMemory(query, &shared, &local);
+    EvaluateInMemory("SequentialScan", scan_result.status(), query, &shared,
+                     &local);
   } else {
     VITRI_RETURN_IF_ERROR(scan_result.status());
   }
 
   auto result = RankResults(shared, query_frames, k);
-  const IoSnapshot delta = pool_->stats().Snapshot() - before;
-  local.page_accesses = delta.logical_reads;
-  local.physical_reads = delta.physical_reads;
-  local.cpu_seconds = watch.ElapsedSeconds();
+  FinishCosts(*pool_, before, watch, &local);
   if (costs != nullptr) *costs = local;
   return result;
 }
@@ -632,19 +550,20 @@ Result<std::vector<VideoMatch>> ViTriIndex::FrameSearch(
   const double gamma = epsilon + options_.epsilon / 2.0;
 
   std::vector<double> matches_by_video(frame_counts_.size(), 0.0);
+  auto evaluate = [&](const ViTri& candidate) {
+    ++local.similarity_evals;
+    const double est = EstimatedMatchingFrames(frame, epsilon, candidate);
+    if (est > 0.0 && candidate.video_id < matches_by_video.size()) {
+      matches_by_video[candidate.video_id] += est;
+    }
+  };
   auto scan = tree_->RangeScan(
       key - gamma, key + gamma,
       [&](double /*key*/, uint64_t /*rid*/,
           std::span<const uint8_t> value) {
         ++local.candidates;
         auto candidate = ViTri::Deserialize(value, options_.dimension);
-        if (!candidate.ok()) return true;
-        ++local.similarity_evals;
-        const double est =
-            EstimatedMatchingFrames(frame, epsilon, *candidate);
-        if (est > 0.0 && candidate->video_id < matches_by_video.size()) {
-          matches_by_video[candidate->video_id] += est;
-        }
+        if (candidate.ok()) evaluate(*candidate);
         return true;
       });
   if (scan.status().IsCorruption()) {
@@ -656,11 +575,7 @@ Result<std::vector<VideoMatch>> ViTriIndex::FrameSearch(
     std::fill(matches_by_video.begin(), matches_by_video.end(), 0.0);
     for (const ViTri& candidate : vitris_) {
       ++local.candidates;
-      ++local.similarity_evals;
-      const double est = EstimatedMatchingFrames(frame, epsilon, candidate);
-      if (est > 0.0 && candidate.video_id < matches_by_video.size()) {
-        matches_by_video[candidate.video_id] += est;
-      }
+      evaluate(candidate);
     }
   } else {
     VITRI_RETURN_IF_ERROR(scan.status());
@@ -672,18 +587,9 @@ Result<std::vector<VideoMatch>> ViTriIndex::FrameSearch(
       out.push_back(VideoMatch{vid, matches_by_video[vid]});
     }
   }
-  std::sort(out.begin(), out.end(),
-            [](const VideoMatch& a, const VideoMatch& b) {
-              return a.similarity > b.similarity ||
-                     (a.similarity == b.similarity &&
-                      a.video_id < b.video_id);
-            });
-  if (out.size() > k) out.resize(k);
+  out = TopK(std::move(out), k);
 
-  const IoSnapshot delta = pool_->stats().Snapshot() - before;
-  local.page_accesses = delta.logical_reads;
-  local.physical_reads = delta.physical_reads;
-  local.cpu_seconds = watch.ElapsedSeconds();
+  FinishCosts(*pool_, before, watch, &local);
   if (costs != nullptr) *costs = local;
   return out;
 }
@@ -713,17 +619,13 @@ Status ViTriIndex::ValidateInvariantsImpl() {
       pager_ == nullptr) {
     return IndexInvariantViolation("index is not fully constructed");
   }
-  if (positions_.size() != vitris_.size()) {
+  const auto stored = static_cast<size_t>(
+      std::count_if(frame_counts_.begin(), frame_counts_.end(),
+                    [](uint32_t frames) { return frames > 0; }));
+  if (stored != stored_videos_) {
     return IndexInvariantViolation(
-        "positions_ caches " + std::to_string(positions_.size()) +
-        " entries for " + std::to_string(vitris_.size()) + " ViTris");
-  }
-  for (size_t i = 0; i < vitris_.size(); ++i) {
-    if (positions_[i] != vitris_[i].position) {
-      return IndexInvariantViolation(
-          "cached position " + std::to_string(i) +
-          " diverged from its ViTri");
-    }
+        "stored-video count is " + std::to_string(stored_videos_) + " for " +
+        std::to_string(stored) + " videos with frames");
   }
 
   ViTriCheckOptions check;
@@ -789,7 +691,7 @@ Status ViTriIndex::ValidateInvariantsImpl() {
 
 Result<double> ViTriIndex::DriftAngle() const {
   ReaderLock lock(*latch_);
-  return transform_->DriftAngle(positions_);
+  return transform_->DriftAngle(Positions(vitris_));
 }
 
 Result<bool> ViTriIndex::NeedsRebuild() const {
@@ -803,19 +705,16 @@ Result<bool> ViTriIndex::NeedsRebuild() const {
   // serving. (DriftAngle is inlined rather than called: shared_mutex
   // acquisitions don't nest safely on one thread.)
   if (!pool_->corrupt_pages().empty()) return true;
-  VITRI_ASSIGN_OR_RETURN(double angle, transform_->DriftAngle(positions_));
+  VITRI_ASSIGN_OR_RETURN(double angle,
+                         transform_->DriftAngle(Positions(vitris_)));
   return angle > options_.rebuild_angle_threshold;
 }
 
 Status ViTriIndex::Rebuild() {
   WriterLock lock(*latch_);
   VITRI_METRIC_COUNTER("index.rebuilds")->Increment();
-  VITRI_ASSIGN_OR_RETURN(
-      OneDimensionalTransform t,
-      options_.transform_factory
-          ? options_.transform_factory(positions_)
-          : OneDimensionalTransform::Fit(positions_, options_.reference,
-                                         options_.margin_factor));
+  VITRI_ASSIGN_OR_RETURN(OneDimensionalTransform t,
+                         FitTransform(options_, vitris_));
   transform_ = std::make_unique<OneDimensionalTransform>(std::move(t));
   return LoadTree();
 }

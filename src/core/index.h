@@ -236,10 +236,10 @@ class ViTriIndex {
   /// Top-k most similar videos to a query summary. `query_frames` is the
   /// query video's frame count (for similarity normalization). Costs are
   /// optional. A non-null `trace` records per-stage timed spans
-  /// (transform → compose → scan → refine → rank) with I/O deltas; the
-  /// traced path evaluates candidates after collecting them but
-  /// accumulates in the same order, so results are bit-identical to the
-  /// untraced streaming path (see DESIGN.md §12).
+  /// (transform → compose → scan → refine → rank) with I/O deltas. The
+  /// traced query runs the same scan loop and only times a few
+  /// candidates, so results are bit-identical to the untraced query
+  /// (see DESIGN.md §12).
   Result<std::vector<VideoMatch>> Knn(const std::vector<ViTri>& query,
                                       uint32_t query_frames, size_t k,
                                       KnnMethod method,
@@ -311,12 +311,10 @@ class ViTriIndex {
   /// Videos with a recorded frame count — num_videos() minus id-space
   /// gaps. The sharded index reports this per shard (each shard's frame
   /// count table is keyed by global video id, so its extent is not its
-  /// population).
+  /// population). Kept current by inserts, so reading it is O(1).
   size_t stored_videos() const VITRI_EXCLUDES(*latch_) {
     ReaderLock lock(*latch_);
-    size_t stored = 0;
-    for (const uint32_t frames : frame_counts_) stored += frames > 0 ? 1 : 0;
-    return stored;
+    return stored_videos_;
   }
   uint32_t tree_height() const VITRI_EXCLUDES(*latch_) {
     ReaderLock lock(*latch_);
@@ -365,8 +363,8 @@ class ViTriIndex {
 
   /// Deep self-check of the whole index: the in-memory summary obeys
   /// every ViTri invariant (core/validate.h, with this index's epsilon)
-  /// and survives a serialization round trip, positions_ mirrors the
-  /// triplets, the buffer pool and B+-tree pass their own validators,
+  /// and survives a serialization round trip, stored_videos() matches a
+  /// recount, the buffer pool and B+-tree pass their own validators,
   /// and a full leaf scan proves each stored record deserializes to its
   /// in-memory twin filed under exactly transform().Key(position). The
   /// pool's IoStats are restored afterwards, so validation never skews
@@ -396,7 +394,7 @@ class ViTriIndex {
   /// the current transform.
   Status LoadTree() VITRI_REQUIRES(*latch_);
 
-  /// Applies one insert to the tree and in-memory mirrors. The REQUIRES
+  /// Applies one insert to the tree and in-memory copy. The REQUIRES
   /// covers both real callers: a logged Insert() under the exclusive
   /// latch, and Open()'s replay loop, which takes the (uncontended)
   /// latch per record while the index is still private to one thread.
@@ -420,11 +418,12 @@ class ViTriIndex {
   Status ValidateInvariantsLocked() VITRI_REQUIRES(*latch_);
   Status ValidateInvariantsImpl() VITRI_REQUIRES(*latch_);
 
-  /// Accumulates per-video estimated shared frames for a scanned record.
+  /// The key range [lo, hi] that query ViTri `query_index` searches
+  /// (its transform key ± R_i^Q + epsilon/2).
   struct RangeSpec {
     double lo = 0.0;
     double hi = 0.0;
-    size_t query_index = 0;  // Meaningful for naive ranges only.
+    size_t query_index = 0;
   };
   std::vector<RangeSpec> MakeRanges(const std::vector<ViTri>& query) const
       VITRI_REQUIRES_SHARED(*latch_);
@@ -433,10 +432,10 @@ class ViTriIndex {
       const std::vector<double>& shared_by_video, uint32_t query_frames,
       size_t k) const VITRI_REQUIRES_SHARED(*latch_);
 
-  /// Tree-backed evaluation of a KNN query into `shared`. Read-only;
-  /// safe to run concurrently from BatchKnn workers. With a trace, the
-  /// scan collects candidates and the refine span evaluates them in the
-  /// identical order; without one, evaluation streams during the scan.
+  /// Tree-backed evaluation of a KNN query into `shared`: one loop of
+  /// range searches whose callback evaluates each candidate against the
+  /// query ranges holding its key. Read-only; safe to run concurrently
+  /// from BatchKnn workers.
   Status KnnScanTree(const std::vector<ViTri>& query,
                      const std::vector<RangeSpec>& ranges, KnnMethod method,
                      std::vector<double>* shared, QueryCosts* costs,
@@ -453,12 +452,13 @@ class ViTriIndex {
                                              QueryTrace* trace) const
       VITRI_REQUIRES_SHARED(*latch_);
 
-  /// Degraded path: evaluates every in-memory ViTri against every query
-  /// ViTri (exactly what a full sequential scan computes, minus the
-  /// broken pages).
-  void EvaluateInMemory(const std::vector<ViTri>& query,
-                        std::vector<double>* shared,
-                        QueryCosts* costs) const
+  /// Degraded path of Knn and SequentialScan after the tree scan failed
+  /// with `cause`: logs and counts it, then recomputes `shared` and the
+  /// candidate counters from every in-memory ViTri against every query
+  /// ViTri (what a full sequential scan computes, minus broken pages).
+  void EvaluateInMemory(std::string_view caller, const Status& cause,
+                        const std::vector<ViTri>& query,
+                        std::vector<double>* shared, QueryCosts* costs) const
       VITRI_REQUIRES_SHARED(*latch_);
 
   ViTriIndexOptions options_;
@@ -476,11 +476,12 @@ class ViTriIndex {
   std::unique_ptr<storage::Pager> pager_ VITRI_GUARDED_BY(*latch_);
   std::unique_ptr<storage::BufferPool> pool_ VITRI_GUARDED_BY(*latch_);
   std::unique_ptr<btree::BPlusTree> tree_ VITRI_GUARDED_BY(*latch_);
-  /// In-memory copies used for rebuild and drift monitoring. Queries
-  /// never touch these; they go through the tree.
+  /// The one in-memory copy of each ViTri, for rebuild, drift checks,
+  /// validation and degraded queries; queries go through the tree.
   std::vector<ViTri> vitris_ VITRI_GUARDED_BY(*latch_);
-  std::vector<linalg::Vec> positions_ VITRI_GUARDED_BY(*latch_);
   std::vector<uint32_t> frame_counts_ VITRI_GUARDED_BY(*latch_);
+  /// Entries of frame_counts_ that are non-zero.
+  size_t stored_videos_ VITRI_GUARDED_BY(*latch_) = 0;
 
   /// Durable-ingest state; empty/null while not durable.
   std::string dur_dir_ VITRI_GUARDED_BY(*latch_);

@@ -231,9 +231,10 @@ Result<std::vector<VideoMatch>> PyramidIndex::Knn(
   std::vector<VideoMatch> matches;
   for (uint32_t vid = 0; vid < shared.size(); ++vid) {
     if (shared[vid] <= 0.0 || frame_counts_[vid] == 0) continue;
+    // Each operand is widened before the sum: two u32 counts wrap.
     const double sim = std::clamp(
-        2.0 * shared[vid] /
-            static_cast<double>(query_frames + frame_counts_[vid]),
+        2.0 * shared[vid] / (static_cast<double>(query_frames) +
+                             static_cast<double>(frame_counts_[vid])),
         0.0, 1.0);
     matches.push_back(VideoMatch{vid, sim});
   }

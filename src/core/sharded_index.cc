@@ -10,6 +10,7 @@
 #include "common/os.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
+#include "core/validate.h"
 #include "storage/io_stats.h"
 
 namespace vitri::core {
@@ -212,13 +213,7 @@ Status ShardedViTriIndex::CreateShardLocked(size_t s, uint32_t video_id,
         "cannot create shard " + std::to_string(s) +
         " from video " + std::to_string(video_id) + " with no ViTris");
   }
-  for (const ViTri& v : vitris) {
-    if (v.video_id != video_id) {
-      return Status::InvalidArgument(
-          "insert for video " + std::to_string(video_id) +
-          " carries a ViTri of video " + std::to_string(v.video_id));
-    }
-  }
+  VITRI_RETURN_IF_ERROR(CheckInsertVideoIds(video_id, vitris));
   ViTriSet set;
   set.dimension = options_.shard_options.dimension;
   set.vitris = vitris;
@@ -489,6 +484,7 @@ ShardedIndexBuilder::ShardedIndexBuilder(ShardedIndexOptions options,
 
 Status ShardedIndexBuilder::Add(uint32_t video_id, uint32_t num_frames,
                                 std::vector<ViTri> vitris) {
+  VITRI_RETURN_IF_ERROR(CheckInsertVideoIds(video_id, vitris));
   ++videos_added_;
   if (index_.has_value()) {
     return index_->Insert(video_id, num_frames, vitris);

@@ -95,8 +95,9 @@ double EstimatedVideoSimilarity(const std::vector<ViTri>& a,
       shared += EstimatedSharedFrames(va, vb);
     }
   }
-  const double sim =
-      2.0 * shared / static_cast<double>(frames_a + frames_b);
+  // Each operand is widened before the sum: two u32 counts wrap.
+  const double sim = 2.0 * shared / (static_cast<double>(frames_a) +
+                                     static_cast<double>(frames_b));
   return std::clamp(sim, 0.0, 1.0);
 }
 

@@ -126,4 +126,16 @@ Status ValidateSnapshotRoundTrip(const ViTriSet& set) {
   return Status::OK();
 }
 
+Status CheckInsertVideoIds(uint32_t video_id,
+                           const std::vector<ViTri>& vitris) {
+  for (const ViTri& v : vitris) {
+    if (v.video_id != video_id) {
+      return Status::InvalidArgument(
+          "insert for video " + std::to_string(video_id) +
+          " carries a ViTri of video " + std::to_string(v.video_id));
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace vitri::core

@@ -1,6 +1,9 @@
 #ifndef VITRI_CORE_VALIDATE_H_
 #define VITRI_CORE_VALIDATE_H_
 
+#include <cstdint>
+#include <vector>
+
 #include "common/status.h"
 #include "core/vitri.h"
 
@@ -39,6 +42,14 @@ Status ValidateViTriSet(const ViTriSet& set,
 /// Serialize -> Deserialize -> Serialize must reproduce the identical
 /// byte string (the invariant snapshot persistence relies on).
 Status ValidateSnapshotRoundTrip(const ViTriSet& set);
+
+/// Checks that every ViTri of an insert belongs to the inserted video.
+/// A ViTri tagged with another id would add its estimates to that
+/// video's answers. Returns InvalidArgument, since the caller's input is
+/// at fault, not the stored state. Every insert path runs it before
+/// logging or applying anything.
+Status CheckInsertVideoIds(uint32_t video_id,
+                           const std::vector<ViTri>& vitris);
 
 }  // namespace vitri::core
 

@@ -331,11 +331,12 @@ class BufferPool {
   size_t prefetch_outstanding_ VITRI_GUARDED_BY(prefetch_mu_) = 0;
 };
 
-/// Pool-wide counterpart of ScopedIoStatsRestore: captures every shard's
-/// counters (and the external sink) on construction and restores them on
+/// The audited save/restore helper: captures every shard's counters
+/// (and the external sink) on construction and restores them on
 /// destruction, making the enclosed scope invisible to I/O cost
-/// accounting. Same exclusivity caveat: no other thread may use the
-/// pool for the scope's lifetime.
+/// accounting, so validators read pages without skewing the counts
+/// queries report. No other thread may use the pool for the scope's
+/// lifetime: the restore drops their increments (see RestoreIoStats).
 class ScopedPoolStatsRestore {
  public:
   explicit ScopedPoolStatsRestore(BufferPool* pool)

@@ -47,13 +47,6 @@ void RestoreIoStats(IoStats* stats, const IoSnapshot& saved) {
                              std::memory_order_relaxed);
 }
 
-ScopedIoStatsRestore::ScopedIoStatsRestore(IoStats* stats)
-    : stats_(stats), saved_(stats->Snapshot()) {}
-
-ScopedIoStatsRestore::~ScopedIoStatsRestore() {
-  RestoreIoStats(stats_, saved_);
-}
-
 namespace {
 
 std::string CountersToString(const IoSnapshot& s) {

@@ -133,29 +133,6 @@ struct IoSnapshot {
 /// threads — callers require exclusive access to the pool.
 void RestoreIoStats(IoStats* stats, const IoSnapshot& saved);
 
-/// The audited save/restore helper: captures `stats` on construction
-/// and restores it on destruction, making the enclosed scope invisible
-/// to I/O cost accounting. This is the ONLY sanctioned way to run
-/// bookkeeping reads (invariant validation, tracing probes) without
-/// skewing the page-access counts the experiments report. Requires
-/// exclusive access to the pool for the scope's lifetime (see the
-/// IoStats restore caveat above).
-class ScopedIoStatsRestore {
- public:
-  explicit ScopedIoStatsRestore(IoStats* stats);
-  ~ScopedIoStatsRestore();
-
-  ScopedIoStatsRestore(const ScopedIoStatsRestore&) = delete;
-  ScopedIoStatsRestore& operator=(const ScopedIoStatsRestore&) = delete;
-
-  /// The counter values at construction time.
-  const IoSnapshot& saved() const { return saved_; }
-
- private:
-  IoStats* stats_;
-  IoSnapshot saved_;
-};
-
 }  // namespace vitri::storage
 
 #endif  // VITRI_STORAGE_IO_STATS_H_

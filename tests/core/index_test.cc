@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <set>
+#include <vector>
 
 #include "core/vitri_builder.h"
 #include "video/synthesizer.h"
@@ -121,6 +125,7 @@ TEST(ViTriIndexTest, CompositionNeverCostsMorePages) {
   ASSERT_TRUE(index.ok());
   uint64_t naive_total = 0;
   uint64_t composed_total = 0;
+  uint64_t max_merged = 0;
   for (uint32_t q = 0; q < 8; ++q) {
     const auto query = QuerySummary(w.db.videos[q]);
     const uint32_t frames =
@@ -135,10 +140,21 @@ TEST(ViTriIndexTest, CompositionNeverCostsMorePages) {
                     .ok());
     EXPECT_LE(composed_costs.range_searches, naive_costs.range_searches);
     EXPECT_LE(composed_costs.candidates, naive_costs.candidates);
+    // Both methods evaluate the same (candidate, query ViTri) pairs: the
+    // naive scan of query range i evaluates each candidate against
+    // query ViTri i only, and a composed scan evaluates each candidate
+    // against every query range holding its key.
+    EXPECT_EQ(naive_costs.similarity_evals, naive_costs.candidates) << q;
+    EXPECT_EQ(composed_costs.similarity_evals, naive_costs.similarity_evals)
+        << q;
+    max_merged = std::max(max_merged, composed_costs.range_searches);
     naive_total += naive_costs.page_accesses;
     composed_total += composed_costs.page_accesses;
   }
   EXPECT_LT(composed_total, naive_total);
+  // Some query composes into several range searches, so the identity
+  // above also covers query ranges carried by different scans.
+  EXPECT_GE(max_merged, 2u);
 }
 
 TEST(ViTriIndexTest, SequentialScanAgreesOnTopResult) {
@@ -224,6 +240,74 @@ TEST(ViTriIndexTest, DynamicInsertThenQuery) {
   ASSERT_FALSE(results->empty());
   EXPECT_EQ((*results)[0].video_id, fresh.id);
   EXPECT_GT((*results)[0].similarity, 0.9);
+}
+
+// ViTris tagged with another video's id would add their estimates to
+// that video's answers, so such an insert is rejected before anything
+// is applied.
+TEST(ViTriIndexTest, InsertRejectsViTrisOfAnotherVideo) {
+  World w = MakeWorld();
+  auto index = ViTriIndex::Build(w.set, DefaultOptions());
+  ASSERT_TRUE(index.ok());
+  const auto query = QuerySummary(w.db.videos[0]);
+  const auto frames = static_cast<uint32_t>(w.db.videos[0].num_frames());
+  auto before = index->Knn(query, frames, 10, KnnMethod::kComposed);
+  ASSERT_TRUE(before.ok());
+  const size_t vitris = index->num_vitris();
+  const size_t videos = index->stored_videos();
+
+  std::vector<ViTri> retagged = query;
+  for (ViTri& v : retagged) v.video_id = 1;
+  const Status status = index->Insert(100, frames, retagged);
+  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+
+  EXPECT_EQ(index->num_vitris(), vitris);
+  EXPECT_EQ(index->stored_videos(), videos);
+  auto after = index->Knn(query, frames, 10, KnnMethod::kComposed);
+  ASSERT_TRUE(after.ok());
+  ASSERT_EQ(after->size(), before->size());
+  for (size_t i = 0; i < before->size(); ++i) {
+    EXPECT_EQ((*after)[i].video_id, (*before)[i].video_id);
+    EXPECT_EQ((*after)[i].similarity, (*before)[i].similarity);
+  }
+  EXPECT_TRUE(index->ValidateInvariants().ok());
+}
+
+TEST(ViTriIndexTest, StoredVideosIsKeptCurrentByInserts) {
+  World w = MakeWorld();
+  auto index = ViTriIndex::Build(w.set, DefaultOptions());
+  ASSERT_TRUE(index.ok());
+  EXPECT_EQ(index->stored_videos(), w.db.num_videos());
+
+  // A new id past a gap of unused ids counts once; the gap does not.
+  const auto id = static_cast<uint32_t>(w.db.num_videos() + 5);
+  video::VideoSynthesizer synth;
+  const video::VideoSequence fresh = synth.GenerateClip(id, 15.0);
+  const auto summary = QuerySummary(fresh);
+  const auto frames = static_cast<uint32_t>(fresh.num_frames());
+  ASSERT_TRUE(index->Insert(id, frames, summary).ok());
+  EXPECT_EQ(index->stored_videos(), w.db.num_videos() + 1);
+  EXPECT_EQ(index->num_videos(), static_cast<size_t>(id) + 1);
+  // More ViTris for a stored video do not count it again.
+  ASSERT_TRUE(index->Insert(id, frames, summary).ok());
+  EXPECT_EQ(index->stored_videos(), w.db.num_videos() + 1);
+  EXPECT_TRUE(index->ValidateInvariants().ok());
+}
+
+// Similarity is 2 * shared / (query frames + video frames); the two u32
+// frame counts must not wrap when summed.
+TEST(ViTriIndexTest, HugeQueryFrameCountDoesNotWrapTheDenominator) {
+  World w = MakeWorld();
+  auto index = ViTriIndex::Build(w.set, DefaultOptions());
+  ASSERT_TRUE(index.ok());
+  const auto query = QuerySummary(w.db.videos[0]);
+  const uint32_t frames = std::numeric_limits<uint32_t>::max() - 100;
+  auto results = index->Knn(query, frames, 10, KnnMethod::kComposed);
+  ASSERT_TRUE(results.ok());
+  ASSERT_FALSE(results->empty());
+  for (const VideoMatch& m : *results) {
+    EXPECT_LT(m.similarity, 1e-6) << "video " << m.video_id;
+  }
 }
 
 TEST(ViTriIndexTest, RebuildPreservesResults) {

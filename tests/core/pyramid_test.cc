@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "common/random.h"
 #include "core/vitri_builder.h"
@@ -212,6 +214,22 @@ TEST(PyramidIndexTest, ReportsCosts) {
   EXPECT_GT(costs.page_accesses, 0u);
   EXPECT_GT(costs.range_searches, 0u);
   EXPECT_GT(costs.similarity_evals, 0u);
+}
+
+TEST(PyramidIndexTest, HugeQueryFrameCountDoesNotWrapTheDenominator) {
+  PyramidWorld w = MakePyramidWorld();
+  auto pyramid = PyramidIndex::Build(w.set, ViTriIndexOptions{});
+  ASSERT_TRUE(pyramid.ok());
+  ViTriBuilder builder;
+  auto summary = builder.Build(w.db.videos[0]);
+  ASSERT_TRUE(summary.ok());
+  auto results = pyramid->Knn(
+      *summary, std::numeric_limits<uint32_t>::max() - 100, 10);
+  ASSERT_TRUE(results.ok());
+  ASSERT_FALSE(results->empty());
+  for (const VideoMatch& m : *results) {
+    EXPECT_LT(m.similarity, 1e-6) << "video " << m.video_id;
+  }
 }
 
 TEST(PyramidIndexTest, EmptyQueryRejected) {

@@ -213,6 +213,49 @@ TEST(RecoveryTest, EnableDurabilityThenOpenRoundTrips) {
   }
 }
 
+// An insert carrying another video's ViTris is rejected before the WAL
+// append: nothing is logged, so nothing is replayed either.
+TEST(RecoveryTest, RejectedInsertIsNeitherLoggedNorApplied) {
+  const World& w = SharedWorld();
+  const std::string dir = TempPath("recovery_rejected_insert");
+  ViTriIndexOptions io;
+  io.dimension = w.db.dimension;
+  auto index = ViTriIndex::Build(w.InitialSet(), io);
+  ASSERT_TRUE(index.ok());
+  ASSERT_TRUE(index->EnableDurability(dir).ok());
+  ASSERT_TRUE(InsertVideo(&*index, w, w.initial).ok());
+  const auto& q = w.per_video[0];
+  const auto frames = static_cast<uint32_t>(w.db.videos[0].num_frames());
+  auto before = index->Knn(q, frames, 5, KnnMethod::kComposed);
+  ASSERT_TRUE(before.ok());
+  const size_t vitris = index->num_vitris();
+
+  std::vector<ViTri> retagged = q;
+  for (ViTri& v : retagged) v.video_id = 1;
+  const Status status =
+      index->Insert(static_cast<uint32_t>(w.initial + 1), frames, retagged);
+  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+  EXPECT_EQ(index->wal_commits(), 1u);
+  EXPECT_EQ(index->num_vitris(), vitris);
+  ASSERT_TRUE(index->ValidateInvariants().ok());
+
+  RecoveryStats stats;
+  auto reopened = ViTriIndex::Open(dir, io, {}, &stats);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(stats.wal_commits_replayed, 1u);
+  EXPECT_EQ(reopened->num_vitris(), vitris);
+  ASSERT_TRUE(reopened->ValidateInvariants().ok());
+  for (ViTriIndex* idx : {&*index, &*reopened}) {
+    auto after = idx->Knn(q, frames, 5, KnnMethod::kComposed);
+    ASSERT_TRUE(after.ok());
+    ASSERT_EQ(after->size(), before->size());
+    for (size_t i = 0; i < before->size(); ++i) {
+      EXPECT_EQ((*after)[i].video_id, (*before)[i].video_id);
+      EXPECT_EQ((*after)[i].similarity, (*before)[i].similarity);
+    }
+  }
+}
+
 TEST(RecoveryTest, RecoveredIndexKeepsIngesting) {
   const World& w = SharedWorld();
   const std::string dir = TempPath("recovery_continue");

@@ -360,6 +360,60 @@ TEST(ShardedIndexTest, InsertRoutesToOwnerShardAndCreatesItLazily) {
   }
 }
 
+// Every sharded insert path runs the shared video-id check: an existing
+// owner shard, a shard the insert would create, and the streaming
+// builder before it goes live.
+TEST(ShardedIndexTest, InsertRejectsViTrisOfAnotherVideo) {
+  World w = MakeWorld(1);
+  std::vector<ViTri> retagged;
+  for (const ViTri& v : w.set.vitris) {
+    if (v.video_id == 0) retagged.push_back(v);
+  }
+  ASSERT_FALSE(retagged.empty());
+  for (ViTri& v : retagged) v.video_id = 1;
+  const uint32_t frames = w.set.frame_counts[0];
+  const BatchQuery& q = w.queries[0];
+
+  // Video 100's owner shard (100 % 4 == 0) exists.
+  auto index = ShardedViTriIndex::Build(
+      w.set, Sharded(w, 4, ShardAssignment::kRoundRobin));
+  ASSERT_TRUE(index.ok());
+  auto before = index->Knn(q.vitris, q.num_frames, 10, KnnMethod::kComposed);
+  ASSERT_TRUE(before.ok());
+  const size_t vitris = index->num_vitris();
+  Status status = index->Insert(100, frames, retagged);
+  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+  EXPECT_EQ(index->num_vitris(), vitris);
+  auto after = index->Knn(q.vitris, q.num_frames, 10, KnnMethod::kComposed);
+  ASSERT_TRUE(after.ok());
+  ExpectSameResults(*before, *after, "existing shard");
+  EXPECT_TRUE(index->ValidateInvariants().ok());
+
+  // Only shard 0 is live, so an insert of video 101 would create shard 1.
+  ViTriSet part;
+  part.dimension = w.set.dimension;
+  part.frame_counts.assign(w.set.frame_counts.size(), 0);
+  for (const ViTri& v : w.set.vitris) {
+    if (v.video_id % 4 == 0) part.vitris.push_back(v);
+  }
+  for (uint32_t vid = 0; vid < w.set.frame_counts.size(); vid += 4) {
+    part.frame_counts[vid] = w.set.frame_counts[vid];
+  }
+  auto partial = ShardedViTriIndex::Build(
+      part, Sharded(w, 4, ShardAssignment::kRoundRobin));
+  ASSERT_TRUE(partial.ok());
+  status = partial->Insert(101, frames, retagged);
+  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+  EXPECT_EQ(partial->live_shards(), 1u);
+  EXPECT_EQ(partial->num_vitris(), part.vitris.size());
+  EXPECT_TRUE(partial->ValidateInvariants().ok());
+
+  ShardedIndexBuilder builder(Sharded(w, 4, ShardAssignment::kRoundRobin));
+  status = builder.Add(100, frames, retagged);
+  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+  EXPECT_EQ(builder.videos_added(), 0u);
+}
+
 TEST(ShardedIndexTest, ResolveIndexShardsFlagBeatsEnvBeatsOne) {
   const char* saved = std::getenv("VITRI_INDEX_SHARDS");
   const std::string saved_value = saved != nullptr ? saved : "";

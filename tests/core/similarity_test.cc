@@ -5,6 +5,8 @@
 #include <cmath>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <tuple>
 
 #include "common/random.h"
@@ -201,6 +203,15 @@ TEST(EstimatedVideoSimilarityTest, ClampedToOne) {
   const double sim = EstimatedVideoSimilarity(a, b, 200, 200);
   EXPECT_LE(sim, 1.0);
   EXPECT_GT(sim, 0.9);
+}
+
+TEST(EstimatedVideoSimilarityTest, HugeFrameCountsDoNotWrap) {
+  // Summed as u32, 2^32 - 11 + 20 frames would wrap to 9 and clamp the
+  // similarity to 1.
+  std::vector<ViTri> summary = {MakeViTri(100, 0.1, At(0.0))};
+  const double sim = EstimatedVideoSimilarity(
+      summary, summary, std::numeric_limits<uint32_t>::max() - 10, 20);
+  EXPECT_LT(sim, 1e-6);
 }
 
 TEST(ExactVideoSimilarityTest, SelfSimilarityIsOne) {

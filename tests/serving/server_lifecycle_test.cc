@@ -214,6 +214,37 @@ TEST(ServingLifecycleTest, PingAndShutdownRequestRoundTrip) {
   EXPECT_TRUE(server.Shutdown().ok());
 }
 
+TEST(ServingLifecycleTest, InsertOfAnotherVideosViTrisIsAnInvalidRequest) {
+  ScopedDir dir;
+  ASSERT_TRUE(dir.ok());
+  World w = MakeWorld();
+  auto index = core::ViTriIndex::Build(w.set, DefaultOptions());
+  ASSERT_TRUE(index.ok());
+  const size_t vitris = index->num_vitris();
+
+  ServerOptions opts;
+  opts.unix_socket_path = dir.socket_path();
+  Server server(&*index, opts);
+  ASSERT_TRUE(server.Start().ok());
+  auto client = Client::ConnectUnix(dir.socket_path());
+  ASSERT_TRUE(client.ok());
+
+  InsertRequest req;
+  req.request_id = 7;
+  req.video_id = 100;
+  req.num_frames = static_cast<uint32_t>(w.db.videos[0].num_frames());
+  req.vitris = QuerySummary(w.db.videos[0]);
+  ASSERT_FALSE(req.vitris.empty());
+  for (core::ViTri& v : req.vitris) v.video_id = 1;
+  req.dimension = static_cast<uint32_t>(req.vitris.front().dimension());
+  auto resp = client->Insert(req);
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  EXPECT_EQ(resp->head.request_id, 7u);
+  EXPECT_EQ(resp->head.status, WireStatus::kInvalidRequest);
+  EXPECT_EQ(index->num_vitris(), vitris);
+  EXPECT_TRUE(server.Shutdown().ok());
+}
+
 TEST(ServingLifecycleTest, AdmissionRejectsWithOverloadedWhenQueueIsFull) {
   ScopedDir dir;
   ASSERT_TRUE(dir.ok());

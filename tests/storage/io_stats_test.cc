@@ -107,45 +107,5 @@ TEST(IoSnapshotTest, SnapshotCapturesAndSubtracts) {
   EXPECT_FALSE(delta.ToString().empty());
 }
 
-// The audited save/restore contract behind every validator and the
-// tracing layer (DESIGN.md §12): whatever pool traffic happens inside
-// the scope, the counters afterwards read exactly as they did before —
-// observation never skews reported query costs.
-TEST(IoSnapshotTest, ScopedRestorePutsEveryCounterBack) {
-  IoStats stats;
-  stats.logical_reads = 100;
-  stats.cache_hits = 80;
-  stats.physical_reads = 20;
-  const IoSnapshot original = stats.Snapshot();
-
-  {
-    ScopedIoStatsRestore restore(&stats);
-    EXPECT_EQ(restore.saved(), original);
-    // Simulate validation traffic of every kind.
-    stats.logical_reads += 1234;
-    stats.cache_hits += 1000;
-    stats.physical_reads += 234;
-    stats.physical_writes += 9;
-    stats.allocations += 3;
-    stats.checksum_failures += 1;
-    stats.retries += 2;
-  }
-
-  EXPECT_EQ(stats.Snapshot(), original);
-}
-
-TEST(IoSnapshotTest, ScopedRestoreRestoresOnEarlyExitToo) {
-  IoStats stats;
-  stats.logical_reads = 7;
-  const IoSnapshot original = stats.Snapshot();
-  const auto observe = [&stats]() -> bool {
-    ScopedIoStatsRestore restore(&stats);
-    stats.logical_reads += 50;
-    return true;  // Unwinds through the scope like an early return.
-  };
-  EXPECT_TRUE(observe());
-  EXPECT_EQ(stats.Snapshot(), original);
-}
-
 }  // namespace
 }  // namespace vitri::storage

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -82,7 +83,9 @@ TEST(VitridSmokeTest, StatsSubcommandReportsWalAndQueryMetrics) {
   ASSERT_TRUE(index->Knn(*query, frames, 3, core::KnnMethod::kComposed).ok());
   uint32_t next_id = 0;
   for (const auto& v : set->vitris) next_id = std::max(next_id, v.video_id);
-  ASSERT_TRUE(index->Insert(next_id + 1, frames, *query).ok());
+  std::vector<core::ViTri> inserted = *query;
+  for (core::ViTri& v : inserted) v.video_id = next_id + 1;
+  ASSERT_TRUE(index->Insert(next_id + 1, frames, inserted).ok());
 
   serving::ServerOptions opts;
   opts.unix_socket_path = socket;
