@@ -1,14 +1,12 @@
 // Scaling of the parallel query and ingest paths: BatchKnn throughput
 // and BuildDatabase wall time swept from 1 thread to the machine's
 // hardware concurrency, verifying at every thread count that the
-// results are bit-identical to the sequential run, plus the
-// tracing-overhead check (traced queries must stay within a few percent
-// of untraced throughput — the observability contract of DESIGN.md
-// §12), plus a sharded-buffer-pool section that hammers concurrent
-// Fetch at one shard (the old single-latch pool) vs. the auto shard
-// count, reporting per-shard hit rates, evictions, and prefetch
-// efficiency (DESIGN.md §16). Speedup depends on the machine's core
-// count; the bit-identity checks hold everywhere.
+// results are bit-identical to the sequential run, plus a
+// sharded-buffer-pool section that hammers concurrent Fetch at one
+// shard (the old single-latch pool) vs. the auto shard count, reporting
+// per-shard hit rates, evictions, and prefetch efficiency (DESIGN.md
+// §16). Speedup depends on the machine's core count; the bit-identity
+// checks hold everywhere.
 
 #include <algorithm>
 #include <atomic>
@@ -21,7 +19,6 @@
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "core/index.h"
-#include "core/query_trace.h"
 #include "core/vitri_builder.h"
 #include "harness/bench_common.h"
 #include "harness/bench_report.h"
@@ -129,104 +126,6 @@ int main() {
              static_cast<double>(batch.size()) / (best_ms / 1e3))
         .Set("speedup", baseline_ms / best_ms)
         .Set("page_accesses", costs.page_accesses)
-        .Set("identical", same);
-    if (!same) return 1;
-  }
-
-  // --- Tracing overhead --------------------------------------------
-  // Attaching per-query traces must not change results and must cost
-  // (nearly) nothing: a traced query runs the same scan loop in the same
-  // order, plus a handful of clock reads.
-  {
-    const size_t threads = std::min<size_t>(
-        4, std::max<size_t>(1, ThreadPool::HardwareThreads()));
-    const int overhead_repeats = std::max(repeats, 15);
-    double untraced_ms = 0.0;
-    double traced_ms = 0.0;
-    std::vector<std::vector<VideoMatch>> untraced_results;
-    std::vector<std::vector<VideoMatch>> traced_results;
-    std::vector<QueryTrace> traces;
-    // Interleave the two variants so scheduling / frequency drift hits
-    // both equally; compare best-of runs.
-    for (int r = 0; r < overhead_repeats; ++r) {
-      {
-        Stopwatch timer;
-        auto results =
-            index->BatchKnn(batch, 10, KnnMethod::kComposed, threads);
-        const double ms = timer.ElapsedMillis();
-        if (!results.ok()) return 1;
-        untraced_results = std::move(*results);
-        if (r == 0 || ms < untraced_ms) untraced_ms = ms;
-      }
-      {
-        Stopwatch timer;
-        auto results = index->BatchKnn(batch, 10, KnnMethod::kComposed,
-                                       threads, nullptr, &traces);
-        const double ms = timer.ElapsedMillis();
-        if (!results.ok()) return 1;
-        traced_results = std::move(*results);
-        if (r == 0 || ms < traced_ms) traced_ms = ms;
-      }
-    }
-    const bool same = Identical(untraced_results, traced_results);
-    const double overhead_pct = (traced_ms / untraced_ms - 1.0) * 100.0;
-    // Per-query latency percentiles come straight from the traces.
-    std::vector<double> latencies_us;
-    latencies_us.reserve(traces.size());
-    for (const QueryTrace& t : traces) {
-      latencies_us.push_back(t.total_seconds() * 1e6);
-    }
-    std::sort(latencies_us.begin(), latencies_us.end());
-    auto pct = [&](double p) {
-      if (latencies_us.empty()) return 0.0;
-      const size_t i = static_cast<size_t>(
-          p * static_cast<double>(latencies_us.size() - 1));
-      return latencies_us[i];
-    };
-    std::printf("\ntracing overhead (%zu threads): untraced %.2f ms, "
-                "traced %.2f ms (%+.2f%%), identical %s\n",
-                threads, untraced_ms, traced_ms, overhead_pct,
-                same ? "yes" : "NO");
-    std::printf("traced per-query latency us: p50 %.0f  p95 %.0f  "
-                "p99 %.0f\n",
-                pct(0.50), pct(0.95), pct(0.99));
-    // Mean time per stage across all traced queries — where a query
-    // actually spends its time.
-    {
-      std::vector<std::pair<const char*, double>> by_span;
-      double glue = 0.0;
-      for (const QueryTrace& t : traces) {
-        double span_sum = 0.0;
-        for (const TraceSpan& s : t.spans()) {
-          span_sum += s.duration_seconds;
-          bool found = false;
-          for (auto& [name, total] : by_span) {
-            if (std::strcmp(name, s.name) == 0) {
-              total += s.duration_seconds;
-              found = true;
-              break;
-            }
-          }
-          if (!found) by_span.emplace_back(s.name, s.duration_seconds);
-        }
-        glue += t.total_seconds() - span_sum;
-      }
-      const double n = static_cast<double>(traces.size());
-      std::printf("mean span us:");
-      for (const auto& [name, total] : by_span) {
-        std::printf("  %s %.1f", name, total * 1e6 / n);
-      }
-      std::printf("  (glue %.1f)\n", glue * 1e6 / n);
-    }
-    report.AddRow()
-        .Set("section", "tracing_overhead")
-        .Set("threads", threads)
-        .Set("untraced_ms", untraced_ms)
-        .Set("traced_ms", traced_ms)
-        .Set("overhead_pct", overhead_pct)
-        .Set("latency_us_p50", pct(0.50))
-        .Set("latency_us_p95", pct(0.95))
-        .Set("latency_us_p99", pct(0.99))
         .Set("identical", same);
     if (!same) return 1;
   }
@@ -403,9 +302,8 @@ int main() {
   }
 
   std::printf("\n# expected shape: near-linear speedup up to the core "
-              "count, identical results at every thread count, tracing "
-              "overhead within noise, sharded pool fetch scaling ahead "
-              "of the 1-shard baseline\n");
+              "count, identical results at every thread count, sharded "
+              "pool fetch scaling ahead of the 1-shard baseline\n");
   if (!report.WriteArtifact()) return 1;
   return 0;
 }

@@ -376,9 +376,6 @@ void ViTriIndex::EvaluateInMemory(std::string_view caller, const Status& cause,
 Result<std::vector<VideoMatch>> ViTriIndex::KnnCompute(
     const std::vector<ViTri>& query, uint32_t query_frames, size_t k,
     KnnMethod method, QueryCosts* local, QueryTrace* trace) const {
-  if (query.empty()) {
-    return Status::InvalidArgument("query summary is empty");
-  }
   // Per-query-ViTri keys and radii for candidate evaluation.
   std::vector<RangeSpec> ranges;
   {
@@ -405,6 +402,7 @@ Result<std::vector<VideoMatch>> ViTriIndex::KnnCompute(
 Result<std::vector<VideoMatch>> ViTriIndex::Knn(
     const std::vector<ViTri>& query, uint32_t query_frames, size_t k,
     KnnMethod method, QueryCosts* costs, QueryTrace* trace) {
+  VITRI_RETURN_IF_ERROR(CheckQueryViTris(query, options_.dimension));
   ReaderLock lock(*latch_);
   Stopwatch watch;
   if (trace != nullptr) trace->Begin();
@@ -426,6 +424,9 @@ Result<std::vector<std::vector<VideoMatch>>> ViTriIndex::BatchKnn(
     const std::vector<BatchQuery>& queries, size_t k, KnnMethod method,
     size_t num_threads, QueryCosts* costs,
     std::vector<QueryTrace>* traces) {
+  for (const BatchQuery& q : queries) {
+    VITRI_RETURN_IF_ERROR(CheckQueryViTris(q.vitris, options_.dimension));
+  }
   // One shared acquisition spans the whole batch; the workers below
   // must NOT take the latch themselves — a writer arriving mid-batch
   // could otherwise wedge between the orchestrator's hold and a
@@ -494,10 +495,8 @@ Result<std::vector<std::vector<VideoMatch>>> ViTriIndex::BatchKnn(
 Result<std::vector<VideoMatch>> ViTriIndex::SequentialScan(
     const std::vector<ViTri>& query, uint32_t query_frames, size_t k,
     QueryCosts* costs) {
+  VITRI_RETURN_IF_ERROR(CheckQueryViTris(query, options_.dimension));
   ReaderLock lock(*latch_);
-  if (query.empty()) {
-    return Status::InvalidArgument("query summary is empty");
-  }
   Stopwatch watch;
   const IoSnapshot before = pool_->stats().Snapshot();
   QueryCosts local;

@@ -254,6 +254,8 @@ Result<std::vector<VideoMatch>> ShardedViTriIndex::Knn(
     const std::vector<ViTri>& query, uint32_t query_frames, size_t k,
     KnnMethod method, QueryCosts* costs,
     std::vector<QueryCosts>* shard_costs) {
+  VITRI_RETURN_IF_ERROR(
+      CheckQueryViTris(query, options_.shard_options.dimension));
   Stopwatch watch;
   QueryCosts total;
   std::vector<QueryCosts> per_shard(num_shards_);
@@ -282,6 +284,10 @@ Result<std::vector<VideoMatch>> ShardedViTriIndex::Knn(
 Result<std::vector<std::vector<VideoMatch>>> ShardedViTriIndex::BatchKnn(
     const std::vector<BatchQuery>& queries, size_t k, KnnMethod method,
     size_t num_threads, QueryCosts* costs) {
+  for (const BatchQuery& q : queries) {
+    VITRI_RETURN_IF_ERROR(
+        CheckQueryViTris(q.vitris, options_.shard_options.dimension));
+  }
   Stopwatch watch;
   const size_t n = queries.size();
   std::vector<std::vector<VideoMatch>> out(n);

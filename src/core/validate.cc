@@ -138,4 +138,30 @@ Status CheckInsertVideoIds(uint32_t video_id,
   return Status::OK();
 }
 
+Status CheckQueryViTris(const std::vector<ViTri>& query, int dimension) {
+  if (query.empty()) {
+    return Status::InvalidArgument("query summary is empty");
+  }
+  for (size_t i = 0; i < query.size(); ++i) {
+    const ViTri& v = query[i];
+    auto reject = [i](const std::string& what) {
+      return Status::InvalidArgument("query ViTri " + std::to_string(i) +
+                                     " " + what);
+    };
+    if (v.dimension() != dimension) {
+      return reject("has dimension " + std::to_string(v.dimension()) +
+                    ", the index has " + std::to_string(dimension));
+    }
+    if (!std::isfinite(v.radius) || v.radius < 0.0) {
+      return reject("has a non-finite or negative radius");
+    }
+    for (const double x : v.position) {
+      if (!std::isfinite(x)) {
+        return reject("has a non-finite position coordinate");
+      }
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace vitri::core

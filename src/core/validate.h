@@ -51,6 +51,14 @@ Status ValidateSnapshotRoundTrip(const ViTriSet& set);
 Status CheckInsertVideoIds(uint32_t video_id,
                            const std::vector<ViTri>& vitris);
 
+/// Checks a KNN query at the index boundary: a non-empty summary whose
+/// every ViTri has the index's `dimension`, a finite non-negative radius
+/// and finite coordinates. A NaN radius makes a key range no scan stops
+/// in, and a position of the wrong length would be read past its end.
+/// Returns InvalidArgument, since the caller's input is at fault. Every
+/// query entry point runs it before touching the tree.
+Status CheckQueryViTris(const std::vector<ViTri>& query, int dimension);
+
 }  // namespace vitri::core
 
 #endif  // VITRI_CORE_VALIDATE_H_

@@ -2,11 +2,9 @@
 
 #include <atomic>
 #include <cassert>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 
-#include "common/os.h"
+#include "common/simd_policy.h"
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #define VITRI_KERNELS_X86 1
@@ -381,8 +379,8 @@ bool CpuHasAvx2Fma() {
 #endif  // VITRI_KERNELS_X86
 
 // Process-wide backend. -1 = not yet resolved; resolution happens once,
-// on first use (or earlier via DisableSimd), and the chosen backend is
-// then fixed for the life of the process.
+// on first use, from the CPU and the SIMD policy (common/simd_policy.h),
+// and the chosen backend is then fixed for the life of the process.
 std::atomic<int> g_backend{-1};
 
 }  // namespace
@@ -436,12 +434,6 @@ const KernelOps& KernelOpsFor(KernelBackend backend) {
   return kScalarOps;
 }
 
-bool SimdDisabledByEnv() {
-  const char* env = GetEnv("VITRI_DISABLE_SIMD");
-  if (env == nullptr || env[0] == '\0') return false;
-  return std::strcmp(env, "0") != 0;
-}
-
 KernelBackend ResolveKernelBackend(bool disable_simd) {
   if (disable_simd) return KernelBackend::kScalar;
   if (KernelBackendAvailable(KernelBackend::kAvx2)) {
@@ -456,24 +448,16 @@ KernelBackend ResolveKernelBackend(bool disable_simd) {
 KernelBackend ActiveKernelBackend() {
   int b = g_backend.load(std::memory_order_relaxed);
   if (b < 0) {
-    const int resolved =
-        static_cast<int>(ResolveKernelBackend(SimdDisabledByEnv()));
     // Concurrent first uses resolve to the same value, so the race is
-    // benign; compare_exchange keeps any DisableSimd() pin authoritative.
-    g_backend.compare_exchange_strong(b, resolved,
-                                      std::memory_order_relaxed);
-    b = g_backend.load(std::memory_order_relaxed);
+    // benign.
+    b = static_cast<int>(ResolveKernelBackend(SimdDisabled()));
+    g_backend.store(b, std::memory_order_relaxed);
   }
   return static_cast<KernelBackend>(b);
 }
 
 const KernelOps& ActiveKernelOps() {
   return KernelOpsFor(ActiveKernelBackend());
-}
-
-void DisableSimd() {
-  g_backend.store(static_cast<int>(KernelBackend::kScalar),
-                  std::memory_order_relaxed);
 }
 
 double SquaredDistanceBounded(VecView a, VecView b, double threshold) {

@@ -23,9 +23,10 @@ namespace vitri::linalg {
 ///               implementation (the determinism anchor).
 ///
 /// Selection happens at first use via CPUID, picking the widest
-/// available backend. `VITRI_DISABLE_SIMD=1` in the environment or a
-/// `DisableSimd()` call at startup (the CLI's `--no-simd`) pins the
-/// scalar backend. The backend is fixed for the life of the process, so
+/// available backend. The process-wide SIMD policy (common/simd_policy.h:
+/// `VITRI_DISABLE_SIMD=1`, or `DisableSimd()` at startup from the CLI's
+/// `--no-simd`) pins the scalar backend, and the CRC-32C's table loop
+/// with it. The backend is fixed for the life of the process, so
 /// all floating-point results — and therefore query answers, snapshots,
 /// and the BatchKnn determinism contract of DESIGN.md §10 — are
 /// reproducible for a given backend. Different backends may differ in
@@ -75,24 +76,16 @@ bool KernelBackendAvailable(KernelBackend backend);
 /// The backend must be available.
 const KernelOps& KernelOpsFor(KernelBackend backend);
 
-/// The process-wide backend: widest available, unless SIMD is disabled.
+/// The process-wide backend: widest available, unless SIMD is disabled
+/// (common/simd_policy.h).
 KernelBackend ActiveKernelBackend();
 
 /// Kernel table for the process-wide backend.
 const KernelOps& ActiveKernelOps();
 
-/// Pins the scalar backend for the rest of the process. Call at startup
-/// (before any queries) — dispatch is fixed per process, and flipping
-/// it mid-run would mix summation orders across results.
-void DisableSimd();
-
 /// Backend-selection policy, exposed for tests: what the process would
 /// pick given the CPU and the `disable_simd` override.
 KernelBackend ResolveKernelBackend(bool disable_simd);
-
-/// True when VITRI_DISABLE_SIMD is set to a truthy value ("1", or any
-/// non-empty string other than "0").
-bool SimdDisabledByEnv();
 
 /// Early-abandoning squared distance over the active backend; see
 /// KernelOps::squared_distance_bounded for the exactness contract.

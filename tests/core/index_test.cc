@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <limits>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "core/vitri_builder.h"
@@ -366,6 +367,78 @@ TEST(ViTriIndexTest, EmptyQueryRejected) {
   ASSERT_TRUE(index.ok());
   EXPECT_FALSE(index->Knn({}, 100, 5, KnnMethod::kNaive).ok());
   EXPECT_FALSE(index->SequentialScan({}, 100, 5).ok());
+}
+
+// A NaN radius makes a key range no scan stops in: naive KNN walked
+// from its descent point to the end of the leaf chain (1 match) while
+// composed KNN dropped the range (0 matches). Both must reject it.
+TEST(ViTriIndexTest, KnnRejectsNanRadiusByBothMethods) {
+  World w = MakeWorld();
+  auto index = ViTriIndex::Build(w.set, DefaultOptions());
+  ASSERT_TRUE(index.ok());
+  std::vector<ViTri> query = {QuerySummary(w.db.videos[0]).front()};
+  query[0].radius = std::numeric_limits<double>::quiet_NaN();
+  const auto frames = static_cast<uint32_t>(w.db.videos[0].num_frames());
+  for (const KnnMethod method : {KnnMethod::kNaive, KnnMethod::kComposed}) {
+    auto result = index->Knn(query, frames, 5, method);
+    EXPECT_TRUE(result.status().IsInvalidArgument())
+        << "method " << static_cast<int>(method) << ": "
+        << (result.ok() ? std::to_string(result->size()) + " matches"
+                        : result.status().ToString());
+  }
+}
+
+// A position longer than the index's dimension would be read past the
+// end of the reference point, so every query entry point rejects it
+// before computing a key; the index keeps answering valid queries.
+TEST(ViTriIndexTest, QueryOfWrongDimensionIsRejected) {
+  World w = MakeWorld();
+  auto index = ViTriIndex::Build(w.set, DefaultOptions());
+  ASSERT_TRUE(index.ok());
+  const std::vector<ViTri> good = QuerySummary(w.db.videos[0]);
+  const auto frames = static_cast<uint32_t>(w.db.videos[0].num_frames());
+  std::vector<ViTri> wide = good;
+  wide[0].position.assign(512, 0.5);
+
+  for (const KnnMethod method : {KnnMethod::kNaive, KnnMethod::kComposed}) {
+    EXPECT_TRUE(index->Knn(wide, frames, 5, method)
+                    .status()
+                    .IsInvalidArgument());
+    EXPECT_TRUE(index->BatchKnn({{good, frames}, {wide, frames}}, 5, method, 2)
+                    .status()
+                    .IsInvalidArgument());
+  }
+  EXPECT_TRUE(index->SequentialScan(wide, frames, 5).status()
+                  .IsInvalidArgument());
+  auto results = index->Knn(good, frames, 5, KnnMethod::kComposed);
+  ASSERT_TRUE(results.ok());
+  ASSERT_FALSE(results->empty());
+  EXPECT_EQ((*results)[0].video_id, 0u);
+}
+
+TEST(ViTriIndexTest, QueryWithNonFiniteOrNegativeGeometryIsRejected) {
+  World w = MakeWorld();
+  auto index = ViTriIndex::Build(w.set, DefaultOptions());
+  ASSERT_TRUE(index.ok());
+  const std::vector<ViTri> good = QuerySummary(w.db.videos[0]);
+  const auto frames = static_cast<uint32_t>(w.db.videos[0].num_frames());
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<std::vector<ViTri>> bad(4, good);
+  bad[0].back().radius = kInf;
+  bad[1].back().radius = -0.01;
+  bad[2].back().position[3] = std::numeric_limits<double>::quiet_NaN();
+  bad[3].back().position[0] = -kInf;
+  for (size_t i = 0; i < bad.size(); ++i) {
+    for (const KnnMethod method : {KnnMethod::kNaive, KnnMethod::kComposed}) {
+      EXPECT_TRUE(index->Knn(bad[i], frames, 5, method)
+                      .status()
+                      .IsInvalidArgument())
+          << "query " << i;
+    }
+    EXPECT_TRUE(index->SequentialScan(bad[i], frames, 5).status()
+                    .IsInvalidArgument())
+        << "query " << i;
+  }
 }
 
 TEST(ViTriIndexTest, KLimitsResultCount) {

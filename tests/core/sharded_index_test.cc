@@ -414,6 +414,34 @@ TEST(ShardedIndexTest, InsertRejectsViTrisOfAnotherVideo) {
   EXPECT_EQ(builder.videos_added(), 0u);
 }
 
+// Every shard would read a too-long position past its reference point,
+// so the sharded entry points reject the query before the scatter.
+TEST(ShardedIndexTest, QueryOfWrongDimensionIsRejected) {
+  World w = MakeWorld(1);
+  auto index = ShardedViTriIndex::Build(w.set, Sharded(w, 4));
+  ASSERT_TRUE(index.ok());
+  const BatchQuery& good = w.queries[0];
+  BatchQuery wide = good;
+  wide.vitris[0].position.assign(512, 0.5);
+  for (const KnnMethod method : {KnnMethod::kNaive, KnnMethod::kComposed}) {
+    EXPECT_TRUE(index->Knn(wide.vitris, wide.num_frames, 5, method)
+                    .status()
+                    .IsInvalidArgument());
+    EXPECT_TRUE(index->BatchKnn({good, wide}, 5, method, 2)
+                    .status()
+                    .IsInvalidArgument());
+  }
+  std::vector<ViTri> nan_radius = good.vitris;
+  nan_radius[0].radius = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(index->Knn(nan_radius, good.num_frames, 5, KnnMethod::kNaive)
+                  .status()
+                  .IsInvalidArgument());
+  auto results =
+      index->Knn(good.vitris, good.num_frames, 5, KnnMethod::kComposed);
+  ASSERT_TRUE(results.ok());
+  EXPECT_FALSE(results->empty());
+}
+
 TEST(ShardedIndexTest, ResolveIndexShardsFlagBeatsEnvBeatsOne) {
   const char* saved = std::getenv("VITRI_INDEX_SHARDS");
   const std::string saved_value = saved != nullptr ? saved : "";

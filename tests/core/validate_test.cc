@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "core/index.h"
 #include "core/vitri.h"
@@ -94,6 +95,27 @@ TEST(ValidateViTriTest, CatchesNonFinitePosition) {
   ViTri v = MakeViTri(0, 10, 0.05, 0.2);
   v.position[2] = std::numeric_limits<double>::infinity();
   ExpectViolation(ValidateViTri(v, kDim, kEpsilon), "non-finite position");
+}
+
+TEST(CheckQueryViTrisTest, RejectsEachMalformedField) {
+  const std::vector<ViTri> good = MakeValidSet().vitris;
+  EXPECT_TRUE(CheckQueryViTris(good, kDim).ok());
+  // Query ViTris carry no epsilon cap: any finite radius is a query.
+  EXPECT_TRUE(CheckQueryViTris({MakeViTri(0, 1, 5.0, 0.2)}, kDim).ok());
+
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<std::vector<ViTri>> bad = {{}, good, good, good, good, good};
+  bad[1][1].position.push_back(0.5);
+  bad[2][2].radius = kNan;
+  bad[3][3].radius = kInf;
+  bad[4][0].radius = -0.01;
+  bad[5][1].position[2] = kNan;
+  for (size_t i = 0; i < bad.size(); ++i) {
+    const Status status = CheckQueryViTris(bad[i], kDim);
+    EXPECT_TRUE(status.IsInvalidArgument())
+        << "case " << i << ": " << status.ToString();
+  }
 }
 
 TEST(ValidateViTriSetTest, AcceptsValidSet) {

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "common/simd_policy.h"
 #include "linalg/frame_matrix.h"
 #include "linalg/vec.h"
 
@@ -83,7 +84,7 @@ TEST(KernelDispatchTest, EnvOverrideRespected) {
   // Under the `simd-off` CI leg (VITRI_DISABLE_SIMD=1) the process must
   // be running the scalar backend; without the env var the resolver
   // decides. Both branches are checked in CI.
-  if (SimdDisabledByEnv()) {
+  if (SimdDisabled()) {
     EXPECT_EQ(ActiveKernelBackend(), KernelBackend::kScalar);
   } else {
     EXPECT_EQ(ActiveKernelBackend(), ResolveKernelBackend(false));

@@ -245,6 +245,43 @@ TEST(ServingLifecycleTest, InsertOfAnotherVideosViTrisIsAnInvalidRequest) {
   EXPECT_TRUE(server.Shutdown().ok());
 }
 
+// The wire decoder bounds a query's dimension only by kMaxDimension; the
+// index rejects one that differs from its own before reading the
+// position, and the server keeps serving.
+TEST(ServingLifecycleTest, KnnOfWrongDimensionIsAnInvalidRequest) {
+  ScopedDir dir;
+  ASSERT_TRUE(dir.ok());
+  World w = MakeWorld();
+  auto index = core::ViTriIndex::Build(w.set, DefaultOptions());
+  ASSERT_TRUE(index.ok());
+  const auto query = QuerySummary(w.db.videos[0]);
+  const auto frames = static_cast<uint32_t>(w.db.videos[0].num_frames());
+
+  ServerOptions opts;
+  opts.unix_socket_path = dir.socket_path();
+  Server server(&*index, opts);
+  ASSERT_TRUE(server.Start().ok());
+  auto client = Client::ConnectUnix(dir.socket_path());
+  ASSERT_TRUE(client.ok());
+
+  std::vector<core::ViTri> wide = query;
+  for (core::ViTri& v : wide) v.position.assign(512, 0.5);
+  auto resp = client->Knn(MakeKnn(wide, frames, 7));
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  EXPECT_EQ(resp->head.request_id, 7u);
+  EXPECT_EQ(resp->head.status, WireStatus::kInvalidRequest);
+  EXPECT_TRUE(resp->results.empty());
+
+  auto next = client->Knn(MakeKnn(query, frames, 8));
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ(next->head.request_id, 8u);
+  EXPECT_EQ(next->head.status, WireStatus::kOk);
+  ASSERT_EQ(next->results.size(), 1u);
+  ASSERT_FALSE(next->results[0].empty());
+  EXPECT_EQ(next->results[0][0].video_id, 0u);
+  EXPECT_TRUE(server.Shutdown().ok());
+}
+
 TEST(ServingLifecycleTest, AdmissionRejectsWithOverloadedWhenQueueIsFull) {
   ScopedDir dir;
   ASSERT_TRUE(dir.ok());

@@ -39,9 +39,9 @@
 #include "btree/bplus_tree.h"
 #include "common/json.h"
 #include "common/metrics.h"
+#include "common/simd_policy.h"
 #include "core/ground_truth.h"
 #include "core/query_trace.h"
-#include "linalg/kernels.h"
 #include "core/index.h"
 #include "core/sharded_index.h"
 #include "core/snapshot.h"
@@ -598,10 +598,10 @@ void Usage() {
                "  recover   --dir index_dir [--epsilon E] [--checkpoint] "
                "[--json]\n"
                "global flags:\n"
-               "  --no-simd  pin the scalar distance-kernel backend "
-               "(reproduces pre-SIMD\n"
-               "             results bit-for-bit; same as "
-               "VITRI_DISABLE_SIMD=1)\n");
+               "  --no-simd  pin the scalar distance kernels and the "
+               "table CRC-32C\n"
+               "             (reproduces pre-SIMD results bit-for-bit; "
+               "same as VITRI_DISABLE_SIMD=1)\n");
 }
 
 }  // namespace
@@ -612,10 +612,10 @@ int main(int argc, char** argv) {
     return 2;
   }
   const Args args{argc - 2, argv + 2};
-  // Kernel dispatch is fixed per process, so the override must land
-  // before any distance work: pin the scalar backend now if asked
-  // (equivalent to VITRI_DISABLE_SIMD=1 in the environment).
-  if (args.Has("--no-simd")) linalg::DisableSimd();
+  // Backend dispatch is fixed per process, so the override must land
+  // before any distance or checksum work: pin the scalar kernels and the
+  // table CRC now if asked (equivalent to VITRI_DISABLE_SIMD=1).
+  if (args.Has("--no-simd")) DisableSimd();
   const std::string command = argv[1];
   if (command == "generate") return CmdGenerate(args);
   if (command == "summarize") return CmdSummarize(args);
