@@ -542,14 +542,17 @@ Result<bool> BPlusTree::Lookup(double key, uint64_t rid,
 }
 
 Result<uint64_t> BPlusTree::RangeScan(double lo, double hi,
-                                      const ScanCallback& callback) const {
+                                      const ScanCallback& callback,
+                                      storage::IoTally* tally) const {
   ReaderLock lock(*latch_);
   VITRI_METRIC_COUNTER("btree.range_scans")->Increment();
-  if (lo > hi) return static_cast<uint64_t>(0);
+  // Also empty when a bound is NaN: no key compares within it, and the
+  // leaf walk below would never meet its `k > hi` stop test.
+  if (!(lo <= hi)) return static_cast<uint64_t>(0);
   // Descend toward the leftmost composite >= (lo, 0).
   PageId node_id = root_;
   for (uint32_t level = 0; level + 1 < height_; ++level) {
-    VITRI_ASSIGN_OR_RETURN(PageRef page, pool_->Fetch(node_id));
+    VITRI_ASSIGN_OR_RETURN(PageRef page, pool_->Fetch(node_id, tally));
     NodeView node(const_cast<uint8_t*>(page.data()), value_size_);
     node_id = node.child(node.InternalDescendIndex(lo, 0));
   }
@@ -558,7 +561,7 @@ Result<uint64_t> BPlusTree::RangeScan(double lo, double hi,
   PageId leaf_id = node_id;
   bool first_leaf_of_scan = true;
   while (leaf_id != kInvalidPageId) {
-    VITRI_ASSIGN_OR_RETURN(PageRef page, pool_->Fetch(leaf_id));
+    VITRI_ASSIGN_OR_RETURN(PageRef page, pool_->Fetch(leaf_id, tally));
     NodeView leaf(const_cast<uint8_t*>(page.data()), value_size_);
     size_t pos = first_leaf_of_scan ? leaf.LeafLowerBound(lo, 0) : 0;
     first_leaf_of_scan = false;
@@ -880,15 +883,6 @@ Status BPlusTree::ValidateInvariants(const TreeCheckOptions& options) const {
 }
 
 Status BPlusTree::ValidateInvariantsLocked(
-    const TreeCheckOptions& options) const {
-  // The validator is observation-free: the audited save/restore scope
-  // rolls the pool's I/O counters back (shard by shard) so debug-build
-  // self-checks never skew the page-access costs the experiments report.
-  storage::ScopedPoolStatsRestore restore(pool_);
-  return ValidateInvariantsImpl(options);
-}
-
-Status BPlusTree::ValidateInvariantsImpl(
     const TreeCheckOptions& options) const {
   // Meta page must agree with the in-memory header fields (StoreMeta
   // runs at the end of every mutating operation).

@@ -52,8 +52,7 @@ struct TreeCheckOptions {
 /// Thread-safety: the tree carries a reader-writer latch. Lookup() and
 /// RangeScan() take it shared and may run concurrently from any number
 /// of threads; Insert(), Delete(), BulkLoad(), and ValidateInvariants()
-/// — whose IoStats save/restore assumes a quiescent pool — take it
-/// exclusive, so one writer proceeds alone while readers drain. This is
+/// take it exclusive, so one writer proceeds alone while readers drain. This is
 /// a deliberately coarse scheme: the owning ViTriIndex already
 /// serializes writers against queries with its own latch, so per-node
 /// latch crabbing would buy no concurrency until that index-level
@@ -67,7 +66,8 @@ struct TreeCheckOptions {
 /// Page 0 of the pager is the tree's meta page; interior pages hold
 /// (separator, child) arrays, leaves hold (key, rid, value) records and
 /// are doubly linked for ordered scans. Page-access counts (what the
-/// paper reports as I/O cost) are read from the buffer pool's IoStats.
+/// paper reports as I/O cost) are what a RangeScan's fetches add to the
+/// caller's IoTally.
 class BPlusTree {
  public:
   BPlusTree(const BPlusTree&) = delete;
@@ -99,11 +99,14 @@ class BPlusTree {
                       std::vector<uint8_t>* value) const;
 
   /// Visits every record with lo <= key <= hi in ascending (key, rid)
-  /// order. Returns the number of records visited. Safe to call
-  /// concurrently with other read-only operations; the callback runs
-  /// without any pool latch held (only a pin on the current leaf).
+  /// order; a NaN bound makes the range empty. Returns the number of
+  /// records visited. Safe to call concurrently with other read-only
+  /// operations; the callback runs without any pool latch held (only a
+  /// pin on the current leaf). The scan's page fetches count in `tally`
+  /// when non-null (BufferPool::Fetch), the caller's own I/O.
   Result<uint64_t> RangeScan(double lo, double hi,
-                             const ScanCallback& callback) const;
+                             const ScanCallback& callback,
+                             storage::IoTally* tally = nullptr) const;
 
   /// Bulk-loads `entries` (must be sorted by (key, rid), strictly
   /// increasing, all values of value_size bytes) into an empty tree,
@@ -148,10 +151,10 @@ class BPlusTree {
   ///    integrity footer.
   /// Pages faulted in during the walk are checksum-verified by the
   /// BufferPool as usual, so on-disk corruption surfaces as Corruption.
-  /// The pool's IoStats are restored afterwards: validation is
-  /// observation-free and never skews reported query costs. Runs after
-  /// every mutating operation in debug builds (VITRI_DCHECK), in tests,
-  /// and via `vitri check`.
+  /// Its fetches count in the pool's cumulative IoStats like any other
+  /// read; no query's costs include them (queries count their own
+  /// IoTally). Runs after every mutating operation in debug builds
+  /// (VITRI_DCHECK), in tests, and via `vitri check`.
   Status ValidateInvariants(const TreeCheckOptions& options = {}) const;
 
  private:
@@ -180,8 +183,6 @@ class BPlusTree {
   // ValidateInvariants minus the latch, for self-checks already inside
   // a writer's critical section.
   Status ValidateInvariantsLocked(const TreeCheckOptions& options) const
-      VITRI_REQUIRES(*latch_);
-  Status ValidateInvariantsImpl(const TreeCheckOptions& options) const
       VITRI_REQUIRES(*latch_);
   Status ValidateNode(const TreeCheckOptions& options,
                       storage::PageId node_id, uint32_t depth, bool has_lo,

@@ -28,9 +28,10 @@ namespace vitri::metrics {
 ///     static, so the registry mutex is only taken on the first event
 ///     per site and when snapshotting.
 ///   * Metrics are *observational*: nothing in the system reads them
-///     back to make decisions, and they are entirely separate from the
-///     IoStats / QueryCosts counters the paper's cost figures report —
-///     instrumentation never perturbs QueryCosts.
+///     back to make decisions. They count cumulatively, like the buffer
+///     pool's IoStats, and stay separate from the QueryCosts the
+///     paper's cost figures report, which each query takes from its own
+///     I/O tally — instrumentation never perturbs QueryCosts.
 ///   * Snapshots are per-metric consistent (each value is one atomic
 ///     read), not globally consistent — the usual monitoring contract.
 

@@ -1,7 +1,6 @@
 #include "core/index.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -25,7 +24,7 @@ namespace vitri::core {
 
 using btree::BPlusTree;
 using storage::BufferPool;
-using storage::IoSnapshot;
+using storage::IoTally;
 using storage::MemPager;
 
 namespace {
@@ -72,13 +71,12 @@ auto FullEvaluation(const std::vector<ViTri>& query,
   };
 }
 
-// Fills in the costs a query's own counters cannot see: the pool's page
-// accesses since `before` and the wall time since `watch` started.
-void FinishCosts(const BufferPool& pool, const IoSnapshot& before,
-                 const Stopwatch& watch, QueryCosts* costs) {
-  const IoSnapshot delta = pool.stats().Snapshot() - before;
-  costs->page_accesses = delta.logical_reads;
-  costs->physical_reads = delta.physical_reads;
+// Fills in the costs a query's scan loop does not count itself: the
+// pages its own tally saw and the wall time since `watch` started.
+void FinishCosts(const IoTally& tally, const Stopwatch& watch,
+                 QueryCosts* costs) {
+  costs->page_accesses = tally.io.logical_reads;
+  costs->physical_reads = tally.io.physical_reads;
   costs->cpu_seconds = watch.ElapsedSeconds();
 }
 
@@ -95,6 +93,13 @@ std::vector<VideoMatch> TopK(std::vector<VideoMatch> matches, size_t k) {
 }
 
 }  // namespace
+
+void RecordKnnQuery(const QueryCosts& costs) {
+  VITRI_METRIC_COUNTER("query.knn.count")->Increment();
+  VITRI_METRIC_HISTOGRAM("query.knn.latency_us")
+      ->Record(static_cast<uint64_t>(costs.cpu_seconds * 1e6));
+  VITRI_METRIC_HISTOGRAM("query.knn.pages")->Record(costs.page_accesses);
+}
 
 Result<ViTriIndex> ViTriIndex::Build(const ViTriSet& set,
                                      const ViTriIndexOptions& options) {
@@ -148,8 +153,8 @@ Status ViTriIndex::LoadTree() {
   pool_ = std::make_unique<BufferPool>(pager_.get(),
                                        options_.buffer_pool_pages,
                                        options_.buffer_pool_options);
-  // Mirror transient-error retries into the pool's IoStats so query
-  // cost reporting surfaces them.
+  // Mirror transient-error retries into the pool's IoStats so
+  // io_stats() surfaces them.
   if (auto* retrying = dynamic_cast<storage::RetryingPager*>(pager_.get())) {
     retrying->set_stats_sink(pool_->external_stats());
   }
@@ -235,7 +240,7 @@ std::vector<ViTriIndex::RangeSpec> ViTriIndex::MakeRanges(
   return ranges;
 }
 
-Result<std::vector<VideoMatch>> ViTriIndex::RankResults(
+std::vector<VideoMatch> ViTriIndex::RankResults(
     const std::vector<double>& shared_by_video, uint32_t query_frames,
     size_t k) const {
   std::vector<VideoMatch> matches;
@@ -257,7 +262,7 @@ Status ViTriIndex::KnnScanTree(const std::vector<ViTri>& query,
                                const std::vector<RangeSpec>& ranges,
                                KnnMethod method,
                                std::vector<double>* shared,
-                               QueryCosts* costs,
+                               QueryCosts* costs, IoTally* tally,
                                QueryTrace* trace) const {
   // One B+-tree range search per scan, each carrying the query ranges
   // whose candidates it yields. Naive: one scan per query range, so
@@ -276,7 +281,7 @@ Status ViTriIndex::KnnScanTree(const std::vector<ViTri>& query,
   if (method == KnnMethod::kNaive) {
     for (const RangeSpec& r : ranges) scans.push_back({r.lo, r.hi, {&r, 1}});
   } else {
-    TraceSpanScope compose_span(trace, "compose", pool_.get());
+    TraceSpanScope compose_span(trace, "compose", *tally);
     std::vector<KeyRange> to_merge;
     to_merge.reserve(ranges.size());
     for (const RangeSpec& r : ranges) to_merge.push_back(KeyRange{r.lo, r.hi});
@@ -293,64 +298,39 @@ Status ViTriIndex::KnnScanTree(const std::vector<ViTri>& query,
   }
 
   // Refinement: the candidate against each carried range that holds its
-  // key. Tracing times the first kTraceMaxSamples candidates and carves
-  // their mean cost, scaled to every candidate, off the end of the scan
-  // span as the "refine" span (QueryTrace::SplitLastSpan; DESIGN.md §12):
-  // clocking every candidate would cost more than refining it. Each
-  // sample has the calibrated clock-pair cost subtracted. Untraced, the
-  // sample budget is 0, so no clock is read.
-  constexpr size_t kTraceMaxSamples = 8;
-  using TraceClock = std::chrono::steady_clock;
-  const size_t sample_budget = trace != nullptr ? kTraceMaxSamples : 0;
-  size_t sampled = 0;
-  double sampled_seconds = 0.0;
-  const uint64_t candidates_before = costs->candidates;
+  // key.
   std::span<const RangeSpec> scan_ranges;
-  auto refine = [&](double key, std::span<const uint8_t> value) {
-    ++costs->candidates;
-    auto candidate = ViTri::Deserialize(value, options_.dimension);
-    if (!candidate.ok()) return;
-    for (const RangeSpec& r : scan_ranges) {
-      if (key < r.lo || key > r.hi) continue;
-      ++costs->similarity_evals;
-      const double est =
-          EstimatedSharedFrames(query[r.query_index], *candidate);
-      if (est > 0.0 && candidate->video_id < shared->size()) {
-        (*shared)[candidate->video_id] += est;
-      }
-    }
-  };
   const btree::ScanCallback on_record =
       [&](double key, uint64_t /*rid*/, std::span<const uint8_t> value) {
-        if (sampled < sample_budget) {
-          const TraceClock::time_point t0 = TraceClock::now();
-          refine(key, value);
-          sampled_seconds += std::max(
-              0.0,
-              std::chrono::duration<double>(TraceClock::now() - t0).count() -
-                  kTraceClockPairSeconds);
-          ++sampled;
-        } else {
-          refine(key, value);
+        ++costs->candidates;
+        auto candidate = ViTri::Deserialize(value, options_.dimension);
+        if (!candidate.ok()) return true;
+        for (const RangeSpec& r : scan_ranges) {
+          if (key < r.lo || key > r.hi) continue;
+          ++costs->similarity_evals;
+          const double est =
+              EstimatedSharedFrames(query[r.query_index], *candidate);
+          if (est > 0.0 && candidate->video_id < shared->size()) {
+            (*shared)[candidate->video_id] += est;
+          }
         }
         return true;
       };
+  const double fetch_seconds_before = tally->fetch_seconds;
   {
-    TraceSpanScope scan_span(trace, "scan", pool_.get());
+    TraceSpanScope scan_span(trace, "scan", *tally);
     for (const Scan& scan : scans) {
       ++costs->range_searches;
       scan_ranges = scan.ranges;
       VITRI_RETURN_IF_ERROR(
-          tree_->RangeScan(scan.lo, scan.hi, on_record).status());
+          tree_->RangeScan(scan.lo, scan.hi, on_record, tally).status());
     }
   }
+  // A traced query's tally is timed: the scan keeps the loop's time
+  // inside BufferPool::Fetch, and the rest of the loop is refinement.
   if (trace != nullptr) {
-    const double refine_estimate =
-        sampled == 0 ? 0.0
-                     : sampled_seconds / static_cast<double>(sampled) *
-                           static_cast<double>(costs->candidates -
-                                               candidates_before);
-    trace->SplitLastSpan("refine", refine_estimate);
+    trace->SplitLastSpan("refine",
+                         tally->fetch_seconds - fetch_seconds_before);
   }
   return Status::OK();
 }
@@ -375,48 +355,58 @@ void ViTriIndex::EvaluateInMemory(std::string_view caller, const Status& cause,
 
 Result<std::vector<VideoMatch>> ViTriIndex::KnnCompute(
     const std::vector<ViTri>& query, uint32_t query_frames, size_t k,
-    KnnMethod method, QueryCosts* local, QueryTrace* trace) const {
+    KnnMethod method, QueryCosts* costs, QueryTrace* trace) const {
+  Stopwatch watch;
+  if (trace != nullptr) trace->Begin();
+  IoTally tally;
+  tally.timed = trace != nullptr;
+  QueryCosts local;
   // Per-query-ViTri keys and radii for candidate evaluation.
   std::vector<RangeSpec> ranges;
   {
-    TraceSpanScope transform_span(trace, "transform", pool_.get());
+    TraceSpanScope transform_span(trace, "transform", tally);
     ranges = MakeRanges(query);
   }
 
   std::vector<double> shared(frame_counts_.size(), 0.0);
   const Status scan =
-      KnnScanTree(query, ranges, method, &shared, local, trace);
+      KnnScanTree(query, ranges, method, &shared, &local, &tally, trace);
   if (scan.IsCorruption()) {
     // The tree hit a quarantined page. Same answer from the in-memory
     // copy (the key ranges only ever *prune* zero-contribution
     // candidates), no index acceleration.
-    TraceSpanScope refine_span(trace, "refine", pool_.get());
-    EvaluateInMemory("Knn", scan, query, &shared, local);
+    TraceSpanScope refine_span(trace, "refine", tally);
+    EvaluateInMemory("Knn", scan, query, &shared, &local);
   } else if (!scan.ok()) {
     return scan;
   }
-  TraceSpanScope rank_span(trace, "rank", pool_.get());
-  return RankResults(shared, query_frames, k);
+  std::vector<VideoMatch> matches;
+  {
+    TraceSpanScope rank_span(trace, "rank", tally);
+    matches = RankResults(shared, query_frames, k);
+  }
+  FinishCosts(tally, watch, &local);
+  if (trace != nullptr) trace->End();
+  *costs = local;
+  return matches;
+}
+
+Result<std::vector<VideoMatch>> ViTriIndex::KnnUnrecorded(
+    const std::vector<ViTri>& query, uint32_t query_frames, size_t k,
+    KnnMethod method, QueryCosts* costs, QueryTrace* trace) const {
+  VITRI_RETURN_IF_ERROR(CheckQueryViTris(query, options_.dimension));
+  ReaderLock lock(*latch_);
+  return KnnCompute(query, query_frames, k, method, costs, trace);
 }
 
 Result<std::vector<VideoMatch>> ViTriIndex::Knn(
     const std::vector<ViTri>& query, uint32_t query_frames, size_t k,
     KnnMethod method, QueryCosts* costs, QueryTrace* trace) {
-  VITRI_RETURN_IF_ERROR(CheckQueryViTris(query, options_.dimension));
-  ReaderLock lock(*latch_);
-  Stopwatch watch;
-  if (trace != nullptr) trace->Begin();
-  const IoSnapshot before = pool_->stats().Snapshot();
   QueryCosts local;
-  auto result = KnnCompute(query, query_frames, k, method, &local, trace);
+  auto result = KnnUnrecorded(query, query_frames, k, method, &local, trace);
   if (!result.ok()) return result;
-  FinishCosts(*pool_, before, watch, &local);
-  if (trace != nullptr) trace->End();
+  RecordKnnQuery(local);
   if (costs != nullptr) *costs = local;
-  VITRI_METRIC_COUNTER("query.knn.count")->Increment();
-  VITRI_METRIC_HISTOGRAM("query.knn.latency_us")
-      ->Record(static_cast<uint64_t>(local.cpu_seconds * 1e6));
-  VITRI_METRIC_HISTOGRAM("query.knn.pages")->Record(local.page_accesses);
   return result;
 }
 
@@ -433,7 +423,6 @@ Result<std::vector<std::vector<VideoMatch>>> ViTriIndex::BatchKnn(
   // worker's acquisition on writer-priority shared_mutex builds.
   ReaderLock lock(*latch_);
   Stopwatch watch;
-  const IoSnapshot before = pool_->stats().Snapshot();
   const size_t n = queries.size();
   std::vector<std::vector<VideoMatch>> results(n);
   std::vector<Status> statuses(n, Status::OK());
@@ -444,30 +433,26 @@ Result<std::vector<std::vector<VideoMatch>>> ViTriIndex::BatchKnn(
   }
 
   // Each worker reads shared index state (transform, tree, in-memory
-  // ViTris) and writes only its own slots — including its own trace —
-  // so the fan-out is race-free and the per-query computation — hence
-  // the result — is identical to the sequential path whatever the
-  // scheduling. The worker latency histogram is lock-free (atomic
-  // buckets), so recording from every worker is tsan-clean.
+  // ViTris) and writes only its own slots — including its own trace and
+  // its own I/O tally — so the fan-out is race-free and the per-query
+  // computation — hence the result and the page counts — is identical
+  // to the sequential path whatever the scheduling. The query metrics
+  // are lock-free (atomic buckets), so every worker records its own.
   auto run_one = [&](size_t i) {
     // The orchestrator's single ReaderLock above covers every worker for
     // the batch's whole lifetime (ParallelFor joins before it unlocks);
     // assert that hold to the analysis instead of re-acquiring, which
     // the fan-out contract above forbids.
     latch_->AssertHeldShared();
-    Stopwatch worker_watch;
     QueryTrace* trace = traces == nullptr ? nullptr : &(*traces)[i];
-    if (trace != nullptr) trace->Begin();
     auto result = KnnCompute(queries[i].vitris, queries[i].num_frames, k,
                              method, &locals[i], trace);
-    if (trace != nullptr) trace->End();
-    if (result.ok()) {
-      results[i] = std::move(*result);
-    } else {
+    if (!result.ok()) {
       statuses[i] = result.status();
+      return;
     }
-    VITRI_METRIC_HISTOGRAM("query.batch.worker_latency_us")
-        ->Record(static_cast<uint64_t>(worker_watch.ElapsedSeconds() * 1e6));
+    RecordKnnQuery(locals[i]);
+    results[i] = std::move(*result);
   };
 
   if (num_threads <= 1 || n <= 1) {
@@ -482,11 +467,10 @@ Result<std::vector<std::vector<VideoMatch>>> ViTriIndex::BatchKnn(
   }
 
   VITRI_METRIC_COUNTER("query.batch.count")->Increment();
-  VITRI_METRIC_COUNTER("query.knn.count")->Increment(n);
   if (costs != nullptr) {
     QueryCosts total;
     for (const QueryCosts& local : locals) total += local;
-    FinishCosts(*pool_, before, watch, &total);
+    total.cpu_seconds = watch.ElapsedSeconds();
     *costs = total;
   }
   return results;
@@ -498,7 +482,7 @@ Result<std::vector<VideoMatch>> ViTriIndex::SequentialScan(
   VITRI_RETURN_IF_ERROR(CheckQueryViTris(query, options_.dimension));
   ReaderLock lock(*latch_);
   Stopwatch watch;
-  const IoSnapshot before = pool_->stats().Snapshot();
+  IoTally tally;
   QueryCosts local;
   local.range_searches = 1;
 
@@ -513,7 +497,8 @@ Result<std::vector<VideoMatch>> ViTriIndex::SequentialScan(
         auto candidate = ViTri::Deserialize(value, options_.dimension);
         if (candidate.ok()) evaluate(*candidate);
         return true;
-      });
+      },
+      &tally);
   if (scan_result.status().IsCorruption()) {
     EvaluateInMemory("SequentialScan", scan_result.status(), query, &shared,
                      &local);
@@ -521,8 +506,8 @@ Result<std::vector<VideoMatch>> ViTriIndex::SequentialScan(
     VITRI_RETURN_IF_ERROR(scan_result.status());
   }
 
-  auto result = RankResults(shared, query_frames, k);
-  FinishCosts(*pool_, before, watch, &local);
+  std::vector<VideoMatch> result = RankResults(shared, query_frames, k);
+  FinishCosts(tally, watch, &local);
   if (costs != nullptr) *costs = local;
   return result;
 }
@@ -533,11 +518,17 @@ Result<std::vector<VideoMatch>> ViTriIndex::FrameSearch(
   if (frame.size() != static_cast<size_t>(options_.dimension)) {
     return Status::InvalidArgument("frame dimension mismatch");
   }
-  if (epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
+  // Negated so that a NaN epsilon, which passes `epsilon <= 0`, fails.
+  if (!(epsilon > 0.0 && std::isfinite(epsilon))) {
+    return Status::InvalidArgument("epsilon must be positive and finite");
+  }
+  for (const double x : frame) {
+    if (!std::isfinite(x)) {
+      return Status::InvalidArgument("frame has a non-finite coordinate");
+    }
   }
   Stopwatch watch;
-  const IoSnapshot before = pool_->stats().Snapshot();
+  IoTally tally;
   QueryCosts local;
   local.range_searches = 1;
 
@@ -564,7 +555,8 @@ Result<std::vector<VideoMatch>> ViTriIndex::FrameSearch(
         auto candidate = ViTri::Deserialize(value, options_.dimension);
         if (candidate.ok()) evaluate(*candidate);
         return true;
-      });
+      },
+      &tally);
   if (scan.status().IsCorruption()) {
     VITRI_LOG(kWarn) << "FrameSearch degraded to in-memory evaluation: "
                         << scan.status().ToString();
@@ -588,7 +580,7 @@ Result<std::vector<VideoMatch>> ViTriIndex::FrameSearch(
   }
   out = TopK(std::move(out), k);
 
-  FinishCosts(*pool_, before, watch, &local);
+  FinishCosts(tally, watch, &local);
   if (costs != nullptr) *costs = local;
   return out;
 }
@@ -607,13 +599,6 @@ Status ViTriIndex::ValidateInvariants() {
 }
 
 Status ViTriIndex::ValidateInvariantsLocked() {
-  // The audited save/restore helper: validation reads pages through the
-  // pool, but must never perturb the counters queries report.
-  storage::ScopedPoolStatsRestore restore(pool_.get());
-  return ValidateInvariantsImpl();
-}
-
-Status ViTriIndex::ValidateInvariantsImpl() {
   if (transform_ == nullptr || tree_ == nullptr || pool_ == nullptr ||
       pager_ == nullptr) {
     return IndexInvariantViolation("index is not fully constructed");

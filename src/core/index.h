@@ -131,6 +131,13 @@ struct QueryCosts {
   }
 };
 
+/// Records one answered KNN query in the query.knn.* metrics: the count,
+/// latency_us (from cpu_seconds) and pages (page_accesses). Every query
+/// is recorded once: ViTriIndex::Knn and each BatchKnn query record
+/// themselves, and a sharded index records each merged query (its
+/// shards record nothing).
+void RecordKnnQuery(const QueryCosts& costs);
+
 /// One KNN result row.
 struct VideoMatch {
   uint32_t video_id = 0;
@@ -235,11 +242,12 @@ class ViTriIndex {
 
   /// Top-k most similar videos to a query summary. `query_frames` is the
   /// query video's frame count (for similarity normalization). Costs are
-  /// optional. A non-null `trace` records per-stage timed spans
-  /// (transform → compose → scan → refine → rank) with I/O deltas. The
-  /// traced query runs the same scan loop and only times a few
-  /// candidates, so results are bit-identical to the untraced query
-  /// (see DESIGN.md §12).
+  /// optional; their page counts are this query's own fetches (its
+  /// IoTally), exact while other queries share the pool. A non-null
+  /// `trace` records per-stage timed spans (transform → compose → scan
+  /// → refine → rank) with the query's I/O in each. The traced query
+  /// runs the same scan loop and only also times its page fetches, so
+  /// results are bit-identical to the untraced query (DESIGN.md §12).
   Result<std::vector<VideoMatch>> Knn(const std::vector<ViTri>& query,
                                       uint32_t query_frames, size_t k,
                                       KnnMethod method,
@@ -253,12 +261,13 @@ class ViTriIndex {
   /// calling Knn() sequentially on each query: every query accumulates
   /// into its own buffers in the same order regardless of scheduling.
   /// num_threads <= 1 runs inline (no pool); 0 is treated as 1.
-  /// `costs`, if given, aggregates the whole batch: page/physical counts
-  /// are the pool delta across the batch, cpu_seconds is the batch wall
-  /// time, the rest are summed per-query counters.
+  /// `costs`, if given, aggregates the whole batch: cpu_seconds is the
+  /// batch wall time, every other counter is the sum of the queries'
+  /// own (page counts included, each from its query's IoTally).
   /// `traces`, if given, is resized to queries.size() and trace i is
   /// filled by the worker running query i (each trace is written by
-  /// exactly one worker; span I/O deltas see the shared pool's traffic).
+  /// exactly one worker, with query i's own I/O). Each query is recorded
+  /// in the query.knn.* metrics, as Knn() records its one.
   Result<std::vector<std::vector<VideoMatch>>> BatchKnn(
       const std::vector<BatchQuery>& queries, size_t k, KnnMethod method,
       size_t num_threads, QueryCosts* costs = nullptr,
@@ -274,6 +283,9 @@ class ViTriIndex {
   /// of their frames within `epsilon` of the single frame `frame`
   /// (VideoMatch::similarity holds that estimate, not a [0,1] score).
   /// One composed range search of radius epsilon + options.epsilon/2.
+  /// InvalidArgument for a frame of the wrong dimension or with a
+  /// non-finite coordinate, and for an epsilon that is not a positive
+  /// finite number.
   Result<std::vector<VideoMatch>> FrameSearch(linalg::VecView frame,
                                               double epsilon, size_t k,
                                               QueryCosts* costs = nullptr)
@@ -320,7 +332,8 @@ class ViTriIndex {
     ReaderLock lock(*latch_);
     return tree_->height();
   }
-  /// Point-in-time copy of the pool's I/O counters. Latched shared: the
+  /// Point-in-time copy of the pool's cumulative I/O counters: every
+  /// caller's fetches, validators' included. Latched shared: the
   /// annotation audit found the old by-reference accessor dereferenced
   /// pool_ unlatched, racing Rebuild()'s pool replacement (a
   /// use-after-free window, not just a stale read).
@@ -366,9 +379,10 @@ class ViTriIndex {
   /// and survives a serialization round trip, stored_videos() matches a
   /// recount, the buffer pool and B+-tree pass their own validators,
   /// and a full leaf scan proves each stored record deserializes to its
-  /// in-memory twin filed under exactly transform().Key(position). The
-  /// pool's IoStats are restored afterwards, so validation never skews
-  /// reported query costs. Runs after every mutating operation in debug
+  /// in-memory twin filed under exactly transform().Key(position). Its
+  /// reads count in the pool's cumulative io_stats() like any other
+  /// read; no query's costs include them, since each query counts only
+  /// its own IoTally. Runs after every mutating operation in debug
   /// builds (VITRI_DCHECK) and via `vitri check`.
   Status ValidateInvariants() VITRI_EXCLUDES(*latch_);
 
@@ -380,6 +394,9 @@ class ViTriIndex {
   }
 
  private:
+  /// Queries its shards through KnnUnrecorded().
+  friend class ShardedViTriIndex;
+
   ViTriIndex() = default;
 
   ViTriSet SnapshotLocked() const VITRI_REQUIRES_SHARED(*latch_) {
@@ -416,7 +433,6 @@ class ViTriIndex {
       VITRI_REQUIRES(*latch_);
 
   Status ValidateInvariantsLocked() VITRI_REQUIRES(*latch_);
-  Status ValidateInvariantsImpl() VITRI_REQUIRES(*latch_);
 
   /// The key range [lo, hi] that query ViTri `query_index` searches
   /// (its transform key ± R_i^Q + epsilon/2).
@@ -428,29 +444,38 @@ class ViTriIndex {
   std::vector<RangeSpec> MakeRanges(const std::vector<ViTri>& query) const
       VITRI_REQUIRES_SHARED(*latch_);
 
-  Result<std::vector<VideoMatch>> RankResults(
+  std::vector<VideoMatch> RankResults(
       const std::vector<double>& shared_by_video, uint32_t query_frames,
       size_t k) const VITRI_REQUIRES_SHARED(*latch_);
 
   /// Tree-backed evaluation of a KNN query into `shared`: one loop of
   /// range searches whose callback evaluates each candidate against the
-  /// query ranges holding its key. Read-only; safe to run concurrently
-  /// from BatchKnn workers.
+  /// query ranges holding its key, fetching pages on the query's
+  /// `tally`. Read-only; safe to run concurrently from BatchKnn workers.
   Status KnnScanTree(const std::vector<ViTri>& query,
                      const std::vector<RangeSpec>& ranges, KnnMethod method,
                      std::vector<double>* shared, QueryCosts* costs,
-                     QueryTrace* trace) const VITRI_REQUIRES_SHARED(*latch_);
+                     storage::IoTally* tally, QueryTrace* trace) const
+      VITRI_REQUIRES_SHARED(*latch_);
 
-  /// The whole per-query KNN pipeline minus the IoStats delta / wall
-  /// clock wrapper: ranges, tree scan (with the degraded in-memory
-  /// fallback), ranking. Fills the per-query counters of `local` except
-  /// page_accesses/physical_reads/cpu_seconds. Read-only.
+  /// One whole KNN query: ranges, tree scan (with the degraded in-memory
+  /// fallback) and ranking, with its page counts from its own IoTally
+  /// and its wall time. Fills every field of `*costs` (non-null) on
+  /// success and the trace when non-null; records no metrics.
+  /// Read-only.
   Result<std::vector<VideoMatch>> KnnCompute(const std::vector<ViTri>& query,
                                              uint32_t query_frames, size_t k,
                                              KnnMethod method,
-                                             QueryCosts* local,
+                                             QueryCosts* costs,
                                              QueryTrace* trace) const
       VITRI_REQUIRES_SHARED(*latch_);
+
+  /// Knn() without recording the query in the query.knn.* metrics:
+  /// checks the query, takes the latch shared and runs KnnCompute().
+  Result<std::vector<VideoMatch>> KnnUnrecorded(
+      const std::vector<ViTri>& query, uint32_t query_frames, size_t k,
+      KnnMethod method, QueryCosts* costs, QueryTrace* trace) const
+      VITRI_EXCLUDES(*latch_);
 
   /// Degraded path of Knn and SequentialScan after the tree scan failed
   /// with `cause`: logs and counts it, then recomputes `shared` and the

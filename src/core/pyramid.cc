@@ -5,6 +5,7 @@
 
 #include "common/stopwatch.h"
 #include "core/similarity.h"
+#include "core/validate.h"
 
 namespace vitri::core {
 
@@ -167,11 +168,9 @@ Result<PyramidIndex> PyramidIndex::Build(const ViTriSet& set,
 Result<std::vector<VideoMatch>> PyramidIndex::Knn(
     const std::vector<ViTri>& query, uint32_t query_frames, size_t k,
     QueryCosts* costs) {
-  if (query.empty()) {
-    return Status::InvalidArgument("query summary is empty");
-  }
+  VITRI_RETURN_IF_ERROR(CheckQueryViTris(query, options_.dimension));
   Stopwatch watch;
-  const storage::IoSnapshot before = pool_->stats().Snapshot();
+  storage::IoTally tally;
   QueryCosts local;
 
   // Pyramid intervals for every query ViTri's bounding box, merged.
@@ -224,7 +223,8 @@ Result<std::vector<VideoMatch>> PyramidIndex::Knn(
             }
           }
           return true;
-        });
+        },
+        &tally);
     VITRI_RETURN_IF_ERROR(scan.status());
   }
 
@@ -246,9 +246,8 @@ Result<std::vector<VideoMatch>> PyramidIndex::Knn(
             });
   if (matches.size() > k) matches.resize(k);
 
-  const storage::IoSnapshot delta = pool_->stats().Snapshot() - before;
-  local.page_accesses = delta.logical_reads;
-  local.physical_reads = delta.physical_reads;
+  local.page_accesses = tally.io.logical_reads;
+  local.physical_reads = tally.io.physical_reads;
   local.cpu_seconds = watch.ElapsedSeconds();
   if (costs != nullptr) *costs = local;
   return matches;

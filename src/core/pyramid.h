@@ -78,7 +78,8 @@ class PyramidIndex {
 
   /// Top-k most similar videos; identical semantics to ViTriIndex::Knn
   /// with composed ranges (the per-ViTri pyramid intervals are merged
-  /// before scanning).
+  /// before scanning), including its query check (CheckQueryViTris) and
+  /// page counts from the query's own IoTally.
   Result<std::vector<VideoMatch>> Knn(const std::vector<ViTri>& query,
                                       uint32_t query_frames, size_t k,
                                       QueryCosts* costs = nullptr);

@@ -4,18 +4,8 @@
 #include <sstream>
 
 #include "common/json.h"
-#include "storage/buffer_pool.h"
 
 namespace vitri::core {
-
-const double kTraceClockPairSeconds = [] {
-  constexpr int kIters = 1024;
-  using Clock = std::chrono::steady_clock;
-  const Clock::time_point begin = Clock::now();
-  Clock::time_point t{};
-  for (int i = 0; i < kIters; ++i) t = Clock::now();
-  return std::chrono::duration<double>(t - begin).count() / kIters;
-}();
 
 void QueryTrace::Begin() {
   spans_.clear();
@@ -31,16 +21,16 @@ void QueryTrace::End() {
       std::chrono::duration<double>(Clock::now() - epoch_).count();
 }
 
-void QueryTrace::SplitLastSpan(const char* name, double tail_seconds) {
+void QueryTrace::SplitLastSpan(const char* name, double head_seconds) {
   if (spans_.empty()) return;
   TraceSpan& last = spans_.back();
-  const double tail =
-      std::clamp(tail_seconds, 0.0, last.duration_seconds);
-  last.duration_seconds -= tail;
+  const double head =
+      std::clamp(head_seconds, 0.0, last.duration_seconds);
   TraceSpan span;
   span.name = name;
-  span.start_seconds = last.start_seconds + last.duration_seconds;
-  span.duration_seconds = tail;
+  span.start_seconds = last.start_seconds + head;
+  span.duration_seconds = last.duration_seconds - head;
+  last.duration_seconds = head;
   spans_.push_back(span);
 }
 
@@ -52,15 +42,7 @@ double QueryTrace::SpanSeconds() const {
 
 storage::IoSnapshot QueryTrace::TotalIo() const {
   storage::IoSnapshot total;
-  for (const TraceSpan& s : spans_) {
-    total.logical_reads += s.io.logical_reads;
-    total.cache_hits += s.io.cache_hits;
-    total.physical_reads += s.io.physical_reads;
-    total.physical_writes += s.io.physical_writes;
-    total.allocations += s.io.allocations;
-    total.checksum_failures += s.io.checksum_failures;
-    total.retries += s.io.retries;
-  }
+  for (const TraceSpan& s : spans_) total = total + s.io;
   return total;
 }
 
@@ -110,11 +92,11 @@ std::string QueryTrace::ToJson() const {
 }
 
 TraceSpanScope::TraceSpanScope(QueryTrace* trace, const char* name,
-                               const storage::BufferPool* pool)
-    : trace_(trace), name_(name), pool_(pool) {
+                               const storage::IoTally& tally)
+    : trace_(trace), name_(name), tally_(tally) {
   if (trace_ != nullptr) {
     start_ = QueryTrace::Clock::now();
-    io_before_ = pool_->StatsSnapshot();
+    io_before_ = tally_.io;
   }
 }
 
@@ -127,7 +109,7 @@ TraceSpanScope::~TraceSpanScope() {
       std::chrono::duration<double>(start_ - trace_->epoch_).count();
   span.duration_seconds =
       std::chrono::duration<double>(end - start_).count();
-  span.io = pool_->StatsSnapshot() - io_before_;
+  span.io = tally_.io - io_before_;
   trace_->spans_.push_back(span);
 }
 

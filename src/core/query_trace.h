@@ -7,24 +7,18 @@
 
 #include "storage/io_stats.h"
 
-namespace vitri::storage {
-class BufferPool;
-}  // namespace vitri::storage
-
 namespace vitri::core {
 
-/// One timed stage of a query, with the buffer pool's I/O counter delta
-/// observed across it.
+/// One timed stage of a query, with the I/O the query did in it.
 struct TraceSpan {
   /// Stage name: "transform", "compose", "scan", "refine", "rank".
   const char* name = "";
   /// Offset of the span start from QueryTrace::Begin(), seconds.
   double start_seconds = 0.0;
   double duration_seconds = 0.0;
-  /// Pool counter delta across the span. For a single-threaded query
-  /// this is exactly the span's own traffic; under BatchKnn the pool is
-  /// shared, so concurrent workers' fetches land in whichever spans are
-  /// open (see DESIGN.md §12).
+  /// The query's own page traffic during the span: its IoTally's growth
+  /// across the span, so other queries sharing the pool (BatchKnn
+  /// workers, concurrent callers) never land in it (DESIGN.md §12).
   storage::IoSnapshot io;
 };
 
@@ -33,8 +27,8 @@ struct TraceSpan {
 /// scan → candidate refinement → ranking). Attach one by passing it to
 /// ViTriIndex::Knn()/BatchKnn(); a null trace pointer costs nothing on
 /// the query path (a pointer test), and span capture itself only reads
-/// the pool's atomic counters — it never writes them, so QueryCosts and
-/// the paper's I/O figures are unaffected by tracing.
+/// the query's IoTally — it never writes it, so QueryCosts and the
+/// paper's I/O figures are unaffected by tracing.
 ///
 /// A QueryTrace is single-owner state: one query (one BatchKnn worker)
 /// fills one trace. Reuse across queries is fine — Begin() resets it.
@@ -52,15 +46,14 @@ class QueryTrace {
   /// Sum of the spans' durations; <= total_seconds() (the difference is
   /// untraced glue between stages).
   double SpanSeconds() const;
-  /// Carves `tail_seconds` (clamped to the span's duration) off the end
-  /// of the most recently recorded span into a new span `name` with a
-  /// zero I/O delta. Used for stages that interleave in one loop — e.g.
-  /// the index splits its streaming scan+refine loop by *sampling* the
-  /// per-candidate refinement cost instead of clocking every candidate,
-  /// which would be far more expensive than the refinement itself
-  /// (DESIGN.md §12). No-op without a recorded span.
-  void SplitLastSpan(const char* name, double tail_seconds);
-  /// Sum of the spans' I/O deltas.
+  /// Keeps the first `head_seconds` (clamped to its duration) of the
+  /// most recently recorded span and moves the rest into a new span
+  /// `name` with no I/O. Used for stages that interleave in one loop:
+  /// the index's scan+refine loop keeps in "scan" the time its fetches
+  /// spent inside BufferPool::Fetch, and the rest of the loop becomes
+  /// "refine" (DESIGN.md §12). No-op without a recorded span.
+  void SplitLastSpan(const char* name, double head_seconds);
+  /// Sum of the spans' I/O.
   storage::IoSnapshot TotalIo() const;
 
   /// One line per span: name, start offset, duration, pages.
@@ -78,22 +71,14 @@ class QueryTrace {
   std::vector<TraceSpan> spans_;
 };
 
-/// Calibrated cost of one start/stop clock-read pair, measured once at
-/// process start (eagerly, so the calibration never lands inside a
-/// traced query). The index subtracts it from sampled per-candidate
-/// timings, whose true cost is the same order of magnitude.
-extern const double kTraceClockPairSeconds;
-
 /// RAII span recorder. Null-safe: with trace == nullptr, construction
 /// and destruction reduce to a pointer test — the untraced hot path
 /// stays untouched. With a trace, construction snapshots the clock and
-/// the pool's (shard-folded) counters, destruction appends the finished
-/// span. Snapshot bodies live in the .cc so this header needs only a
-/// forward declaration of BufferPool.
+/// the query's tally, destruction appends the finished span.
 class TraceSpanScope {
  public:
   TraceSpanScope(QueryTrace* trace, const char* name,
-                 const storage::BufferPool* pool);
+                 const storage::IoTally& tally);
   ~TraceSpanScope();
 
   TraceSpanScope(const TraceSpanScope&) = delete;
@@ -102,7 +87,7 @@ class TraceSpanScope {
  private:
   QueryTrace* trace_;
   const char* name_;
-  const storage::BufferPool* pool_;
+  const storage::IoTally& tally_;
   QueryTrace::Clock::time_point start_{};
   storage::IoSnapshot io_before_;
 };

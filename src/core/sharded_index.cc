@@ -11,7 +11,6 @@
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "core/validate.h"
-#include "storage/io_stats.h"
 
 namespace vitri::core {
 namespace {
@@ -268,7 +267,8 @@ Result<std::vector<VideoMatch>> ShardedViTriIndex::Knn(
       QueryCosts shard_cost;
       VITRI_ASSIGN_OR_RETURN(
           std::vector<VideoMatch> matches,
-          shards_[s]->Knn(query, query_frames, k, method, &shard_cost));
+          shards_[s]->KnnUnrecorded(query, query_frames, k, method,
+                                    &shard_cost, nullptr));
       total += shard_cost;
       per_shard[s] = shard_cost;
       lists.push_back(std::move(matches));
@@ -276,6 +276,7 @@ Result<std::vector<VideoMatch>> ShardedViTriIndex::Knn(
   }
   std::vector<VideoMatch> merged = MergeTopK(lists, k);
   total.cpu_seconds = watch.ElapsedSeconds();
+  RecordKnnQuery(total);
   if (costs != nullptr) *costs = total;
   if (shard_costs != nullptr) *shard_costs = std::move(per_shard);
   return merged;
@@ -300,16 +301,6 @@ Result<std::vector<std::vector<VideoMatch>>> ShardedViTriIndex::BatchKnn(
       if (shard != nullptr) live.push_back(shard.get());
     }
     if (n > 0 && !live.empty()) {
-      // Concurrent tasks on one shard see each other's pool traffic, so
-      // per-task page counts overlap; like ViTriIndex::BatchKnn, page
-      // and physical counts are whole-batch pool deltas (summed over
-      // shards) and only the CPU-side counters are summed per task.
-      std::vector<storage::IoSnapshot> before;
-      before.reserve(live.size());
-      for (const ViTriIndex* shard : live) {
-        before.push_back(shard->io_stats().Snapshot());
-      }
-
       // Scatter: one task per (query, live shard) pair. Each worker
       // writes only its own slots; the shard's Knn takes the shard
       // latch shared, so tasks never contend on a writer.
@@ -324,8 +315,9 @@ Result<std::vector<std::vector<VideoMatch>>> ShardedViTriIndex::BatchKnn(
         latch_->AssertHeldShared();
         const size_t q = t / live.size();
         const size_t j = t % live.size();
-        auto matches = live[j]->Knn(queries[q].vitris, queries[q].num_frames,
-                                    k, method, &task_costs[t]);
+        auto matches =
+            live[j]->KnnUnrecorded(queries[q].vitris, queries[q].num_frames,
+                                   k, method, &task_costs[t], nullptr);
         if (!matches.ok()) {
           statuses[t] = matches.status();
           return;
@@ -341,22 +333,22 @@ Result<std::vector<std::vector<VideoMatch>>> ShardedViTriIndex::BatchKnn(
       }
       for (const Status& status : statuses) VITRI_RETURN_IF_ERROR(status);
 
-      for (const QueryCosts& c : task_costs) total += c;
-      uint64_t pages = 0;
-      uint64_t physical = 0;
-      for (size_t j = 0; j < live.size(); ++j) {
-        const storage::IoSnapshot delta =
-            live[j]->io_stats().Snapshot() - before[j];
-        pages += delta.logical_reads;
-        physical += delta.physical_reads;
-      }
-      total.page_accesses = pages;
-      total.physical_reads = physical;
-
       // Gather: merging is commutative over shards given the total
       // (similarity, id) order, so results are identical to sequential
-      // per-query Knn regardless of task scheduling.
-      for (size_t q = 0; q < n; ++q) out[q] = MergeTopK(scattered[q], k);
+      // per-query Knn regardless of task scheduling. Each task counted
+      // its own pages, so a query's costs are the sum of its tasks', and
+      // the batch's the sum of them all. A query's tasks run among other
+      // queries' tasks, so its latency sample is the time its tasks took,
+      // not a wall time of its own.
+      for (size_t q = 0; q < n; ++q) {
+        out[q] = MergeTopK(scattered[q], k);
+        QueryCosts query_costs;
+        for (size_t j = 0; j < live.size(); ++j) {
+          query_costs += task_costs[q * live.size() + j];
+        }
+        RecordKnnQuery(query_costs);
+        total += query_costs;
+      }
     }
   }
   total.cpu_seconds = watch.ElapsedSeconds();

@@ -112,8 +112,11 @@ class ShardedViTriIndex {
   /// video id asc) — the repo-wide tie-break. `costs`, if given,
   /// aggregates all shards (cpu_seconds is this call's wall time);
   /// `shard_costs`, if given, is resized to num_shards() and entry i
-  /// holds shard i's own costs (zeros for empty shards) — the bench
-  /// reads per-shard pruning ratios from it.
+  /// holds shard i's own costs (zeros for empty shards), its page counts
+  /// exact under concurrent callers — the bench reads per-shard pruning
+  /// ratios from it. The query is recorded once in the query.knn.*
+  /// metrics (this call's wall time, the summed shard pages); the shard
+  /// queries record nothing.
   Result<std::vector<VideoMatch>> Knn(
       const std::vector<ViTri>& query, uint32_t query_frames, size_t k,
       KnnMethod method, QueryCosts* costs = nullptr,
@@ -125,9 +128,10 @@ class ShardedViTriIndex {
   /// like `queries` and identical to calling Knn() per query (merging
   /// is order-independent given the total (similarity, id) order).
   /// num_threads <= 1 runs inline. `costs` aggregates the batch:
-  /// page/physical counts are the per-shard pool deltas across the
-  /// batch, cpu_seconds the batch wall time, the rest summed per-task
-  /// counters.
+  /// cpu_seconds is the batch wall time, every other counter the sum of
+  /// the per-task costs (each task counts its own pages). Each query is
+  /// recorded once in the query.knn.* metrics, with the summed costs of
+  /// its shard tasks.
   Result<std::vector<std::vector<VideoMatch>>> BatchKnn(
       const std::vector<BatchQuery>& queries, size_t k, KnnMethod method,
       size_t num_threads, QueryCosts* costs = nullptr)

@@ -370,12 +370,12 @@ void Server::HandleKnn(WorkItem item) {
       knn_seq_.fetch_add(1, std::memory_order_relaxed) %
               options_.trace_every ==
           0;
+  // Query tracing is a single-index feature; the sharded route
+  // scatter-gathers across shards without per-stage traces.
   std::vector<core::QueryTrace> traces;
   Status failure = Status::OK();
   bool expired = false;
   if (item.deadline_us == 0) {
-    // Query tracing is a single-index feature; the sharded route
-    // scatter-gathers across shards without per-stage traces.
     Result<std::vector<std::vector<core::VideoMatch>>> r =
         sharded_ != nullptr
             ? sharded_->BatchKnn(item.knn.queries, item.knn.k,
@@ -392,18 +392,22 @@ void Server::HandleKnn(WorkItem item) {
     // Deadline-aware path: one query per stage, with the deadline
     // re-checked between stages so an expired request stops consuming
     // index time mid-batch.
-    resp.results.reserve(item.knn.queries.size());
-    for (const core::BatchQuery& q : item.knn.queries) {
+    const size_t n = item.knn.queries.size();
+    resp.results.reserve(n);
+    if (traced && sharded_ == nullptr) traces.resize(n);
+    for (size_t i = 0; i < n; ++i) {
       if (NowMicros() > item.deadline_us) {
         expired = true;
         break;
       }
+      const core::BatchQuery& q = item.knn.queries[i];
       Result<std::vector<core::VideoMatch>> r =
           sharded_ != nullptr
               ? sharded_->Knn(q.vitris, q.num_frames, item.knn.k,
                               item.knn.method)
               : index_->Knn(q.vitris, q.num_frames, item.knn.k,
-                            item.knn.method);
+                            item.knn.method, nullptr,
+                            traces.empty() ? nullptr : &traces[i]);
       if (!r.ok()) {
         failure = r.status();
         break;

@@ -1,6 +1,7 @@
 #include "storage/buffer_pool.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <string>
 
@@ -104,16 +105,24 @@ BufferPool::~BufferPool() {
       ->Add(-static_cast<int64_t>(resident()));
 }
 
-Result<PageRef> BufferPool::Fetch(PageId id) {
+Result<PageRef> BufferPool::Fetch(PageId id, IoTally* tally) {
+  using Clock = std::chrono::steady_clock;
+  const bool timed = tally != nullptr && tally->timed;
+  const Clock::time_point start = timed ? Clock::now() : Clock::time_point{};
   Shard& s = ShardFor(id);
   ++s.stats.logical_reads;
+  if (tally != nullptr) ++tally->io.logical_reads;
   s.metrics.fetches->Increment();
-  // Registry counters are cumulative process metrics, deliberately
-  // separate from the IoStats: validators save/restore IoStats, and
-  // queries report IoStats deltas, while these only ever count up.
+  // The registry counters are process-wide and cumulative, like the
+  // shard's IoStats; what this one request cost goes to its tally.
   VITRI_METRIC_COUNTER("storage.pool.fetches")->Increment();
-  VITRI_ASSIGN_OR_RETURN(uint8_t * data, LoadPage(s, id, /*demand=*/true));
-  return PageRef(this, id, data);
+  Result<uint8_t*> data = LoadPage(s, id, /*demand=*/true, tally);
+  if (timed) {
+    tally->fetch_seconds +=
+        std::chrono::duration<double>(Clock::now() - start).count();
+  }
+  VITRI_ASSIGN_OR_RETURN(uint8_t * page, std::move(data));
+  return PageRef(this, id, page);
 }
 
 Result<PageRef> BufferPool::New() {
@@ -122,7 +131,7 @@ Result<PageRef> BufferPool::New() {
   Shard& s = ShardFor(id);
   ++s.stats.allocations;
   VITRI_METRIC_COUNTER("storage.pool.allocations")->Increment();
-  VITRI_ASSIGN_OR_RETURN(const size_t slot, ClaimSlot(s));
+  VITRI_ASSIGN_OR_RETURN(const size_t slot, ClaimSlot(s, nullptr));
   Frame& f = s.frames[slot];
   MutexLock lock(s.latch);
   // Freshly allocated ids are unpublished: no concurrent fetch, load, or
@@ -167,7 +176,7 @@ void BufferPool::PrefetchLoad(PageId id) {
   // Best-effort by design: a full shard, an I/O error, or a checksum
   // mismatch just means the demand fetch does the work (and surfaces
   // the error, if it persists) — a prefetch must never fail a query.
-  (void)LoadPage(ShardFor(id), id, /*demand=*/false);
+  (void)LoadPage(ShardFor(id), id, /*demand=*/false, nullptr);
 }
 
 void BufferPool::DrainPrefetches() {
@@ -176,7 +185,8 @@ void BufferPool::DrainPrefetches() {
   while (prefetch_outstanding_ > 0) prefetch_cv_.Wait(lock);
 }
 
-Result<uint8_t*> BufferPool::LoadPage(Shard& s, PageId id, bool demand) {
+Result<uint8_t*> BufferPool::LoadPage(Shard& s, PageId id, bool demand,
+                                      IoTally* tally) {
   for (;;) {
     {
       MutexLock lock(s.latch);
@@ -201,11 +211,13 @@ Result<uint8_t*> BufferPool::LoadPage(Shard& s, PageId id, bool demand) {
         Frame& f = s.frames[it->second];
         if (!demand) return f.data.data();  // Resident; prefetch is done.
         ++s.stats.cache_hits;
+        if (tally != nullptr) ++tally->io.cache_hits;
         s.metrics.hits->Increment();
         VITRI_METRIC_COUNTER("storage.pool.hits")->Increment();
         if (f.prefetched) {
           f.prefetched = false;
           ++s.stats.prefetch_hits;
+          if (tally != nullptr) ++tally->io.prefetch_hits;
           s.metrics.prefetch_hits->Increment();
         }
         if (f.pin_count == 0) s.replacer.Pin(it->second);
@@ -215,7 +227,7 @@ Result<uint8_t*> BufferPool::LoadPage(Shard& s, PageId id, bool demand) {
     }
 
     // Miss. Claim a slot (ClaimSlot may drop into write-back I/O).
-    VITRI_ASSIGN_OR_RETURN(const size_t slot, ClaimSlot(s));
+    VITRI_ASSIGN_OR_RETURN(const size_t slot, ClaimSlot(s, tally));
     Frame& f = s.frames[slot];
     {
       MutexLock lock(s.latch);
@@ -233,6 +245,7 @@ Result<uint8_t*> BufferPool::LoadPage(Shard& s, PageId id, bool demand) {
       f.prefetched = false;
       s.table.emplace(id, slot);
       ++s.stats.physical_reads;
+      if (tally != nullptr) ++tally->io.physical_reads;
       if (demand) VITRI_METRIC_COUNTER("storage.pool.misses")->Increment();
     }
 
@@ -247,6 +260,7 @@ Result<uint8_t*> BufferPool::LoadPage(Shard& s, PageId id, bool demand) {
     if (!status.ok()) {
       if (read.ok()) {
         ++s.stats.checksum_failures;
+        if (tally != nullptr) ++tally->io.checksum_failures;
         VITRI_METRIC_COUNTER("storage.pool.checksum_failures")->Increment();
         s.corrupt.insert(id);
       }
@@ -269,7 +283,7 @@ Result<uint8_t*> BufferPool::LoadPage(Shard& s, PageId id, bool demand) {
   }
 }
 
-Result<size_t> BufferPool::ClaimSlot(Shard& s) {
+Result<size_t> BufferPool::ClaimSlot(Shard& s, IoTally* tally) {
   size_t victim = 0;
   PageId victim_id = kInvalidPageId;
   {
@@ -290,6 +304,7 @@ Result<size_t> BufferPool::ClaimSlot(Shard& s) {
       vf.id = kInvalidPageId;
       vf.prefetched = false;
       ++s.stats.evictions;
+      if (tally != nullptr) ++tally->io.evictions;
       s.metrics.evictions->Increment();
       VITRI_METRIC_COUNTER("storage.pool.evictions")->Increment();
       VITRI_METRIC_GAUGE("storage.pool.resident")->Add(-1);
@@ -304,6 +319,7 @@ Result<size_t> BufferPool::ClaimSlot(Shard& s) {
   Frame& vf = s.frames[victim];
   StampPageFooter(vf.data.data(), pager_->page_size(), victim_id);
   ++s.stats.physical_writes;
+  if (tally != nullptr) ++tally->io.physical_writes;
   VITRI_METRIC_COUNTER("storage.pool.writebacks")->Increment();
   const Status written = pager_->Write(victim_id, vf.data.data());
 
@@ -321,6 +337,7 @@ Result<size_t> BufferPool::ClaimSlot(Shard& s) {
   vf.id = kInvalidPageId;
   vf.prefetched = false;
   ++s.stats.evictions;
+  if (tally != nullptr) ++tally->io.evictions;
   s.metrics.evictions->Increment();
   VITRI_METRIC_COUNTER("storage.pool.evictions")->Increment();
   VITRI_METRIC_GAUGE("storage.pool.resident")->Add(-1);
@@ -392,33 +409,13 @@ IoSnapshot BufferPool::StatsSnapshot() const {
   return total;
 }
 
-IoStats BufferPool::stats() const {
-  IoStats out;
-  RestoreIoStats(&out, StatsSnapshot());
-  return out;
-}
+IoStats BufferPool::stats() const { return IoStats(StatsSnapshot()); }
 
 std::vector<IoSnapshot> BufferPool::ShardSnapshots() const {
   std::vector<IoSnapshot> out;
   out.reserve(shards_.size());
   for (const auto& shard : shards_) out.push_back(shard->stats.Snapshot());
   return out;
-}
-
-BufferPool::StatsSave BufferPool::SaveStats() const {
-  StatsSave save;
-  save.shards = ShardSnapshots();
-  save.external = external_stats_.Snapshot();
-  return save;
-}
-
-void BufferPool::RestoreStats(const StatsSave& saved) {
-  VITRI_CHECK(saved.shards.size() == shards_.size())
-      << "stats save from a pool with a different shard count";
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    RestoreIoStats(&shards_[i]->stats, saved.shards[i]);
-  }
-  RestoreIoStats(&external_stats_, saved.external);
 }
 
 std::set<PageId> BufferPool::corrupt_pages() const {

@@ -118,10 +118,11 @@ struct BufferPoolOptions {
 /// Sharded buffer pool over a Pager, with clock (second-chance)
 /// replacement per shard. Pages map to shards by id; each shard owns a
 /// fixed set of frames, its own page table, replacer, and latch, so
-/// fetches of pages in different shards never contend. Tracks logical
-/// fetches, cache hits, and physical transfers in per-shard IoStats —
-/// the counters the experiment harnesses report as the paper's "I/O
-/// cost" — folded together on read (stats()).
+/// fetches of pages in different shards never contend. Counts logical
+/// fetches, cache hits, and physical transfers cumulatively in
+/// per-shard IoStats, folded together on read (stats()), and per
+/// request in the IoTally a caller hands to Fetch — the counts a query
+/// reports as the paper's "I/O cost".
 ///
 /// The pool is also the page-integrity boundary: every page written back
 /// is stamped with a checksum footer (storage/page_footer.h) and every
@@ -153,8 +154,13 @@ class BufferPool {
 
   ~BufferPool();
 
-  /// Fetches (pinning) an existing page.
-  Result<PageRef> Fetch(PageId id);
+  /// Fetches (pinning) an existing page. A non-null `tally` receives
+  /// every event this fetch counts in the shard's IoStats — the logical
+  /// read, the hit or the physical read, a prefetch hit, the claimed
+  /// slot's eviction and write-back, a checksum failure — so a query
+  /// reads its exact page counts from its own tally while other queries
+  /// share the pool. A timed tally also sums this call's wall time.
+  Result<PageRef> Fetch(PageId id, IoTally* tally = nullptr);
 
   /// Allocates a new page in the pager and returns it pinned and dirty.
   Result<PageRef> New();
@@ -173,7 +179,7 @@ class BufferPool {
   /// flushing it; simulates a cold cache for benchmark repeatability.
   Status EvictAll();
 
-  /// Aggregated counters, folded across the shards (plus the external
+  /// Cumulative counters, folded across the shards (plus the external
   /// sink) at call time. Each field is a sum of atomic loads, so totals
   /// never tear even while other threads fetch. Returned by value: with
   /// sharded counters there is no single live struct to reference.
@@ -188,18 +194,6 @@ class BufferPool {
   /// an extra IoStats folded into stats() that does not belong to any
   /// shard. Writing other fields through it (tests) is fine too.
   IoStats* external_stats() { return &external_stats_; }
-
-  /// Everything stats() folds, split by origin — the save/restore
-  /// currency of ScopedPoolStatsRestore.
-  struct StatsSave {
-    std::vector<IoSnapshot> shards;
-    IoSnapshot external;
-  };
-  /// Save/restore of every counter the pool owns. Restoring while other
-  /// threads use the pool silently drops their increments; callers
-  /// require exclusive access (same caveat as RestoreIoStats).
-  StatsSave SaveStats() const;
-  void RestoreStats(const StatsSave& saved);
 
   /// Page ids whose checksum verification failed since construction (or
   /// the last ClearCorruptPages). Ordered for stable reporting; returns
@@ -297,15 +291,17 @@ class BufferPool {
   /// victim — writing a dirty victim back *outside* the latch, with the
   /// page parked in `evicting` meanwhile. ResourceExhausted when every
   /// frame is pinned; a failed write-back reinstalls the victim and
-  /// propagates the error.
-  Result<size_t> ClaimSlot(Shard& s) VITRI_EXCLUDES(s.latch);
+  /// propagates the error. The eviction and write-back also count in
+  /// `tally` when non-null.
+  Result<size_t> ClaimSlot(Shard& s, IoTally* tally) VITRI_EXCLUDES(s.latch);
 
   /// Loads page `id` into `s` via a claimed slot. With `demand`, the
   /// frame stays pinned once and the Result carries its data pointer;
   /// errors (including a failed integrity check, which quarantines the
   /// page) propagate. Without, the frame lands unpinned+prefetched and
-  /// errors only update counters — prefetch is best-effort.
-  Result<uint8_t*> LoadPage(Shard& s, PageId id, bool demand)
+  /// errors only update counters — prefetch is best-effort. `tally`
+  /// (demand loads only; may be null) receives the events counted here.
+  Result<uint8_t*> LoadPage(Shard& s, PageId id, bool demand, IoTally* tally)
       VITRI_EXCLUDES(s.latch);
 
   /// Background half of Prefetch(): loads `id` if still absent.
@@ -329,28 +325,6 @@ class BufferPool {
   Mutex prefetch_mu_;
   CondVar prefetch_cv_;
   size_t prefetch_outstanding_ VITRI_GUARDED_BY(prefetch_mu_) = 0;
-};
-
-/// The audited save/restore helper: captures every shard's counters
-/// (and the external sink) on construction and restores them on
-/// destruction, making the enclosed scope invisible to I/O cost
-/// accounting, so validators read pages without skewing the counts
-/// queries report. No other thread may use the pool for the scope's
-/// lifetime: the restore drops their increments (see RestoreIoStats).
-class ScopedPoolStatsRestore {
- public:
-  explicit ScopedPoolStatsRestore(BufferPool* pool)
-      : pool_(pool), saved_(pool->SaveStats()) {}
-  ~ScopedPoolStatsRestore() { pool_->RestoreStats(saved_); }
-
-  ScopedPoolStatsRestore(const ScopedPoolStatsRestore&) = delete;
-  ScopedPoolStatsRestore& operator=(const ScopedPoolStatsRestore&) = delete;
-
-  const BufferPool::StatsSave& saved() const { return saved_; }
-
- private:
-  BufferPool* pool_;
-  BufferPool::StatsSave saved_;
 };
 
 }  // namespace vitri::storage

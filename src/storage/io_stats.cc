@@ -19,32 +19,19 @@ IoSnapshot IoStats::Snapshot() const {
   return s;
 }
 
-IoStats IoStats::operator-(const IoStats& rhs) const {
-  // Delta arithmetic happens on plain snapshots; only the result is
-  // rematerialized as atomics (for callers that still expect IoStats).
-  const IoSnapshot delta = Snapshot() - rhs.Snapshot();
-  IoStats out;
-  RestoreIoStats(&out, delta);
-  return out;
-}
-
-void RestoreIoStats(IoStats* stats, const IoSnapshot& saved) {
-  stats->logical_reads.store(saved.logical_reads,
-                             std::memory_order_relaxed);
-  stats->cache_hits.store(saved.cache_hits, std::memory_order_relaxed);
-  stats->physical_reads.store(saved.physical_reads,
-                              std::memory_order_relaxed);
-  stats->physical_writes.store(saved.physical_writes,
-                               std::memory_order_relaxed);
-  stats->allocations.store(saved.allocations, std::memory_order_relaxed);
-  stats->checksum_failures.store(saved.checksum_failures,
-                                 std::memory_order_relaxed);
-  stats->retries.store(saved.retries, std::memory_order_relaxed);
-  stats->evictions.store(saved.evictions, std::memory_order_relaxed);
-  stats->prefetch_issued.store(saved.prefetch_issued,
-                               std::memory_order_relaxed);
-  stats->prefetch_hits.store(saved.prefetch_hits,
-                             std::memory_order_relaxed);
+IoStats& IoStats::operator=(const IoSnapshot& values) {
+  logical_reads.store(values.logical_reads, std::memory_order_relaxed);
+  cache_hits.store(values.cache_hits, std::memory_order_relaxed);
+  physical_reads.store(values.physical_reads, std::memory_order_relaxed);
+  physical_writes.store(values.physical_writes, std::memory_order_relaxed);
+  allocations.store(values.allocations, std::memory_order_relaxed);
+  checksum_failures.store(values.checksum_failures,
+                          std::memory_order_relaxed);
+  retries.store(values.retries, std::memory_order_relaxed);
+  evictions.store(values.evictions, std::memory_order_relaxed);
+  prefetch_issued.store(values.prefetch_issued, std::memory_order_relaxed);
+  prefetch_hits.store(values.prefetch_hits, std::memory_order_relaxed);
+  return *this;
 }
 
 namespace {

@@ -7,78 +7,9 @@
 
 namespace vitri::storage {
 
-/// Counters describing page traffic. "Logical" events are buffer-pool
-/// fetches (what the paper's I/O-cost figures count as page accesses);
-/// "physical" events are transfers that actually hit the backing pager.
-///
-/// Every counter is an atomic: increments from concurrent queries
-/// (BatchKnn fan-out, parallel ingest) never race, so the save/restore
-/// trick the ValidateInvariants() implementations use stays clean under
-/// ThreadSanitizer. Copying or subtracting an IoStats reads each counter
-/// with relaxed ordering — the copy is a per-field snapshot, not a
-/// globally consistent one, which is all cost reporting needs. Restoring
-/// saved counters (operator=) while *other* threads are mid-query would
-/// silently drop their increments; callers that save/restore (the
-/// invariant validators) therefore require exclusive access — see
-/// DESIGN.md "Threading model".
-struct IoStats {
-  std::atomic<uint64_t> logical_reads{0};   // Buffer-pool fetches.
-  std::atomic<uint64_t> cache_hits{0};      // Served without pager I/O.
-  std::atomic<uint64_t> physical_reads{0};  // Pager reads.
-  std::atomic<uint64_t> physical_writes{0};  // Pager writes.
-  std::atomic<uint64_t> allocations{0};      // Newly allocated pages.
-  std::atomic<uint64_t> checksum_failures{0};  // Footer-rejected reads.
-  std::atomic<uint64_t> retries{0};  // Transient-IoError retries (see
-                                     // storage/retry_pager.h).
-  std::atomic<uint64_t> evictions{0};  // Frames recycled by the replacer.
-  std::atomic<uint64_t> prefetch_issued{0};  // Readahead hints acted on.
-  std::atomic<uint64_t> prefetch_hits{0};  // Fetches served by a frame a
-                                           // prefetch loaded.
-
-  IoStats() = default;
-  IoStats(const IoStats& rhs) { *this = rhs; }
-  IoStats& operator=(const IoStats& rhs) {
-    logical_reads.store(rhs.logical_reads.load(std::memory_order_relaxed),
-                        std::memory_order_relaxed);
-    cache_hits.store(rhs.cache_hits.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-    physical_reads.store(rhs.physical_reads.load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-    physical_writes.store(
-        rhs.physical_writes.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
-    allocations.store(rhs.allocations.load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
-    checksum_failures.store(
-        rhs.checksum_failures.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
-    retries.store(rhs.retries.load(std::memory_order_relaxed),
-                  std::memory_order_relaxed);
-    evictions.store(rhs.evictions.load(std::memory_order_relaxed),
-                    std::memory_order_relaxed);
-    prefetch_issued.store(
-        rhs.prefetch_issued.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
-    prefetch_hits.store(rhs.prefetch_hits.load(std::memory_order_relaxed),
-                        std::memory_order_relaxed);
-    return *this;
-  }
-
-  void Reset() { *this = IoStats{}; }
-
-  /// Per-field relaxed snapshot as plain integers (see IoSnapshot).
-  /// All delta arithmetic and save/restore goes through snapshots, so
-  /// there is exactly one audited load site for every counter.
-  struct IoSnapshot Snapshot() const;
-
-  IoStats operator-(const IoStats& rhs) const;
-
-  std::string ToString() const;
-};
-
-/// Plain-integer copy of an IoStats: the value type for deltas, query
-/// traces, and the validators' save/restore. Field-wise arithmetic on
-/// snapshots cannot race (no atomics), which is why every derived
+/// Plain-integer copy of the page-traffic counters: the value type for
+/// deltas, query traces and per-request tallies. Field-wise arithmetic
+/// on snapshots cannot race (no atomics), which is why every derived
 /// quantity is computed here rather than on live counters.
 struct IoSnapshot {
   uint64_t logical_reads = 0;
@@ -128,10 +59,66 @@ struct IoSnapshot {
   std::string ToString() const;
 };
 
-/// Writes a snapshot's values back into live counters. Like IoStats
-/// assignment, this silently drops increments from concurrently running
-/// threads — callers require exclusive access to the pool.
-void RestoreIoStats(IoStats* stats, const IoSnapshot& saved);
+/// Counters describing page traffic. "Logical" events are buffer-pool
+/// fetches (what the paper's I/O-cost figures count as page accesses);
+/// "physical" events are transfers that actually hit the backing pager.
+///
+/// The pool's IoStats are cumulative: they only ever count up, for every
+/// caller at once. A query's own costs come from its IoTally instead, so
+/// nothing differences these counters to attribute I/O to a request.
+/// Every counter is an atomic, so increments from concurrent queries
+/// (BatchKnn fan-out, parallel ingest) never race. Copying an IoStats
+/// reads each counter with relaxed ordering — the copy is a per-field
+/// snapshot, not a globally consistent one, which is all reporting
+/// needs.
+struct IoStats {
+  std::atomic<uint64_t> logical_reads{0};   // Buffer-pool fetches.
+  std::atomic<uint64_t> cache_hits{0};      // Served without pager I/O.
+  std::atomic<uint64_t> physical_reads{0};  // Pager reads.
+  std::atomic<uint64_t> physical_writes{0};  // Pager writes.
+  std::atomic<uint64_t> allocations{0};      // Newly allocated pages.
+  std::atomic<uint64_t> checksum_failures{0};  // Footer-rejected reads.
+  std::atomic<uint64_t> retries{0};  // Transient-IoError retries (see
+                                     // storage/retry_pager.h).
+  std::atomic<uint64_t> evictions{0};  // Frames recycled by the replacer.
+  std::atomic<uint64_t> prefetch_issued{0};  // Readahead hints acted on.
+  std::atomic<uint64_t> prefetch_hits{0};  // Fetches served by a frame a
+                                           // prefetch loaded.
+
+  IoStats() = default;
+  /// Live counters holding a snapshot's values (how the pool hands out
+  /// its shard-folded totals as an IoStats).
+  explicit IoStats(const IoSnapshot& values) { *this = values; }
+  IoStats(const IoStats& rhs) : IoStats(rhs.Snapshot()) {}
+  IoStats& operator=(const IoStats& rhs) { return *this = rhs.Snapshot(); }
+  IoStats& operator=(const IoSnapshot& values);
+
+  void Reset() { *this = IoSnapshot{}; }
+
+  /// Per-field relaxed snapshot as plain integers. All delta arithmetic
+  /// goes through snapshots, so there is exactly one audited load site
+  /// for every counter.
+  IoSnapshot Snapshot() const;
+
+  IoStats operator-(const IoStats& rhs) const {
+    return IoStats(Snapshot() - rhs.Snapshot());
+  }
+
+  std::string ToString() const;
+};
+
+/// One request's own page traffic. BufferPool::Fetch adds every event of
+/// a demand fetch made for the request here, next to the shard's
+/// cumulative IoStats, so a query's page counts are exact however many
+/// other queries share the pool. Plain integers: one query on one
+/// thread owns its tally.
+struct IoTally {
+  IoSnapshot io;
+  /// When set, Fetch also sums its own wall time into fetch_seconds
+  /// (a traced query's "scan" time). An untimed tally reads no clock.
+  bool timed = false;
+  double fetch_seconds = 0.0;
+};
 
 }  // namespace vitri::storage
 

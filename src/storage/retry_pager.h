@@ -42,7 +42,7 @@ class RetryingPager final : public Pager {
   }
 
   /// Optional IoStats to mirror the retry counter into (typically the
-  /// buffer pool's, so QueryCosts/IoStats reporting sees retries).
+  /// buffer pool's, so its cumulative stats() report retries).
   void set_stats_sink(IoStats* stats) { stats_sink_ = stats; }
 
   /// Test hook: replaces the backoff sleep (default:

@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -224,6 +226,19 @@ TEST(BPlusTreeTest, RangeScanEmptyAndInverted) {
   });
   ASSERT_TRUE(visited.ok());
   EXPECT_EQ(*visited, 0u);
+  // A NaN bound compares false with every key, so it names no range: the
+  // scan visits nothing instead of walking from its descent point to the
+  // end of the leaf chain.
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  for (const auto& [lo, hi] : {std::pair{kNan, 6.0}, std::pair{4.0, kNan},
+                               std::pair{kNan, kNan}}) {
+    visited = tree->RangeScan(
+        lo, hi, [](double, uint64_t, std::span<const uint8_t>) {
+          return true;
+        });
+    ASSERT_TRUE(visited.ok());
+    EXPECT_EQ(*visited, 0u) << "[" << lo << ", " << hi << "]";
+  }
 }
 
 TEST(BPlusTreeTest, RangeScanEarlyStop) {

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/metrics.h"
 #include "core/vitri_builder.h"
 #include "video/synthesizer.h"
 
@@ -478,6 +479,19 @@ TEST(ViTriIndexTest, FrameSearchRejectsBadInput) {
   EXPECT_FALSE(index->FrameSearch(linalg::Vec(3, 0.1), 0.15, 5).ok());
   EXPECT_FALSE(
       index->FrameSearch(linalg::Vec(64, 0.1), 0.0, 5).ok());
+  // A NaN epsilon passes an `epsilon <= 0` test, and a NaN coordinate
+  // makes a NaN key; either would answer OK with nothing found.
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  const linalg::Vec& probe = w.db.videos[4].frames[40];
+  for (const double epsilon :
+       {kNan, std::numeric_limits<double>::infinity()}) {
+    EXPECT_TRUE(
+        index->FrameSearch(probe, epsilon, 5).status().IsInvalidArgument());
+  }
+  linalg::Vec nan_frame = probe;
+  nan_frame[3] = kNan;
+  EXPECT_TRUE(
+      index->FrameSearch(nan_frame, 0.15, 5).status().IsInvalidArgument());
 }
 
 TEST(ViTriIndexTest, FrameSearchFarFrameFindsNothing) {
@@ -504,6 +518,32 @@ TEST(ViTriIndexTest, FrameSearchCountsScaleWithEpsilon) {
   ASSERT_FALSE(wide->empty());
   const double n_est = narrow->empty() ? 0.0 : (*narrow)[0].similarity;
   EXPECT_GE((*wide)[0].similarity, n_est);
+}
+
+// Each query a BatchKnn answers is one served query: it lands in the
+// query.knn.* metrics like a Knn() call does, with its own pages.
+TEST(ViTriIndexTest, BatchKnnRecordsEachQueryInTheKnnMetrics) {
+  World w = MakeWorld();
+  auto index = ViTriIndex::Build(w.set, DefaultOptions());
+  ASSERT_TRUE(index.ok());
+  std::vector<BatchQuery> batch;
+  for (size_t v = 0; v < 5; ++v) {
+    batch.push_back(BatchQuery{
+        QuerySummary(w.db.videos[v]),
+        static_cast<uint32_t>(w.db.videos[v].num_frames())});
+  }
+  metrics::Registry& registry = metrics::Registry::Instance();
+  metrics::Counter* count = registry.GetCounter("query.knn.count");
+  metrics::Histogram* latency = registry.GetHistogram("query.knn.latency_us");
+  metrics::Histogram* pages = registry.GetHistogram("query.knn.pages");
+  const uint64_t count_before = count->Value();
+  const uint64_t latency_before = latency->Count();
+  const uint64_t pages_before = pages->Count();
+
+  ASSERT_TRUE(index->BatchKnn(batch, 5, KnnMethod::kComposed, 4).ok());
+  EXPECT_EQ(count->Value() - count_before, batch.size());
+  EXPECT_EQ(latency->Count() - latency_before, batch.size());
+  EXPECT_EQ(pages->Count() - pages_before, batch.size());
 }
 
 }  // namespace

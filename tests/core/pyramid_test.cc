@@ -239,5 +239,25 @@ TEST(PyramidIndexTest, EmptyQueryRejected) {
   EXPECT_FALSE(pyramid->Knn({}, 100, 5).ok());
 }
 
+// The query is checked like ViTriIndex::Knn's: the interval loop reads
+// every one of the index's coordinates of each query position, and a
+// NaN radius makes NaN intervals that match nothing.
+TEST(PyramidIndexTest, InvalidQueryViTrisAreRejected) {
+  PyramidWorld w = MakePyramidWorld();
+  auto pyramid = PyramidIndex::Build(w.set, ViTriIndexOptions{});
+  ASSERT_TRUE(pyramid.ok());
+  ViTriBuilder builder;
+  auto summary = builder.Build(w.db.videos[0]);
+  ASSERT_TRUE(summary.ok());
+  const auto frames = static_cast<uint32_t>(w.db.videos[0].num_frames());
+  std::vector<ViTri> narrow = *summary;
+  for (ViTri& v : narrow) v.position.resize(4);
+  EXPECT_TRUE(pyramid->Knn(narrow, frames, 5).status().IsInvalidArgument());
+  std::vector<ViTri> nan_radius = *summary;
+  nan_radius[0].radius = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(
+      pyramid->Knn(nan_radius, frames, 5).status().IsInvalidArgument());
+}
+
 }  // namespace
 }  // namespace vitri::core

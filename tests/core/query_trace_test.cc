@@ -277,9 +277,8 @@ TEST(QueryTraceTest, BeginResetsAReusedTrace) {
   QueryTrace trace;
   trace.Begin();
   {
-    storage::MemPager pager(256);
-    storage::BufferPool pool(&pager, 4);
-    TraceSpanScope span(&trace, "scan", &pool);
+    const storage::IoTally tally;
+    TraceSpanScope span(&trace, "scan", tally);
   }
   trace.End();
   ASSERT_EQ(trace.spans().size(), 1u);

@@ -23,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
 #include "common/random.h"
 #include "core/index.h"
 #include "core/out_of_core.h"
@@ -440,6 +441,34 @@ TEST(ShardedIndexTest, QueryOfWrongDimensionIsRejected) {
       index->Knn(good.vitris, good.num_frames, 5, KnnMethod::kComposed);
   ASSERT_TRUE(results.ok());
   EXPECT_FALSE(results->empty());
+}
+
+// A sharded query is one served query: the merged result lands in the
+// query.knn.* metrics once, however many shards it scattered to, and so
+// does each query of a sharded batch.
+TEST(ShardedIndexTest, EachQueryIsRecordedOnceInTheKnnMetrics) {
+  World w = MakeWorld(3);
+  auto index = ShardedViTriIndex::Build(w.set, Sharded(w, 4));
+  ASSERT_TRUE(index.ok());
+  ASSERT_GT(index->live_shards(), 1u);
+  metrics::Registry& registry = metrics::Registry::Instance();
+  metrics::Counter* count = registry.GetCounter("query.knn.count");
+  metrics::Histogram* latency = registry.GetHistogram("query.knn.latency_us");
+  metrics::Histogram* pages = registry.GetHistogram("query.knn.pages");
+
+  uint64_t count_before = count->Value();
+  uint64_t latency_before = latency->Count();
+  const BatchQuery& q = w.queries[0];
+  ASSERT_TRUE(
+      index->Knn(q.vitris, q.num_frames, 5, KnnMethod::kComposed).ok());
+  EXPECT_EQ(count->Value() - count_before, 1u);
+  EXPECT_EQ(latency->Count() - latency_before, 1u);
+
+  count_before = count->Value();
+  const uint64_t pages_before = pages->Count();
+  ASSERT_TRUE(index->BatchKnn(w.queries, 5, KnnMethod::kComposed, 4).ok());
+  EXPECT_EQ(count->Value() - count_before, w.queries.size());
+  EXPECT_EQ(pages->Count() - pages_before, w.queries.size());
 }
 
 TEST(ShardedIndexTest, ResolveIndexShardsFlagBeatsEnvBeatsOne) {

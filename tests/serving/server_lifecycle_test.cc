@@ -31,6 +31,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/json.h"
 #include "core/index.h"
 #include "core/vitri_builder.h"
 #include "serving/client.h"
@@ -280,6 +281,54 @@ TEST(ServingLifecycleTest, KnnOfWrongDimensionIsAnInvalidRequest) {
   ASSERT_FALSE(next->results[0].empty());
   EXPECT_EQ(next->results[0][0].video_id, 0u);
   EXPECT_TRUE(server.Shutdown().ok());
+}
+
+// With trace_every = 1 every request is sampled, and each of its queries
+// leaves one trace in the stats document — on the batched path a request
+// without a deadline takes, and on the per-query path one with a
+// deadline takes.
+void ExpectOneTracePerQuery(uint32_t deadline_ms) {
+  ScopedDir dir;
+  ASSERT_TRUE(dir.ok());
+  World w = MakeWorld();
+  auto index = core::ViTriIndex::Build(w.set, DefaultOptions());
+  ASSERT_TRUE(index.ok());
+  const auto query = QuerySummary(w.db.videos[0]);
+  const auto frames = static_cast<uint32_t>(w.db.videos[0].num_frames());
+
+  ServerOptions opts;
+  opts.unix_socket_path = dir.socket_path();
+  opts.trace_every = 1;
+  Server server(&*index, opts);
+  ASSERT_TRUE(server.Start().ok());
+  auto client = Client::ConnectUnix(dir.socket_path());
+  ASSERT_TRUE(client.ok());
+  constexpr size_t kQueries = 2;
+  auto resp = client->Knn(MakeKnn(query, frames, 60, deadline_ms, kQueries));
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  EXPECT_EQ(resp->head.status, WireStatus::kOk);
+  EXPECT_EQ(resp->results.size(), kQueries);
+
+  auto stats = json::ParseJson(server.BuildStatsJson());
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  const json::JsonValue* traces = stats->Find("recent_traces");
+  ASSERT_NE(traces, nullptr);
+  ASSERT_TRUE(traces->is_array());
+  ASSERT_EQ(traces->array.size(), kQueries);
+  for (const json::JsonValue& trace : traces->array) {
+    const json::JsonValue* spans = trace.Find("spans");
+    ASSERT_NE(spans, nullptr);
+    EXPECT_FALSE(spans->array.empty());
+  }
+  EXPECT_TRUE(server.Shutdown().ok());
+}
+
+TEST(ServingLifecycleTest, SampledRequestKeepsOneTracePerQuery) {
+  ExpectOneTracePerQuery(/*deadline_ms=*/0);
+}
+
+TEST(ServingLifecycleTest, SampledRequestWithADeadlineKeepsItsTraces) {
+  ExpectOneTracePerQuery(/*deadline_ms=*/60'000);
 }
 
 TEST(ServingLifecycleTest, AdmissionRejectsWithOverloadedWhenQueueIsFull) {

@@ -388,30 +388,6 @@ TEST(BufferPoolShardingTest, PagesLandInTheirHomeShardAndStatsFold) {
   EXPECT_EQ(pool.stats().logical_reads, 12u);
 }
 
-TEST(BufferPoolShardingTest, ScopedPoolStatsRestorePutsEveryShardBack) {
-  MemPager pager(64);
-  BufferPoolOptions options;
-  options.shards = 2;
-  BufferPool pool(&pager, 8, options);
-  for (int i = 0; i < 4; ++i) {
-    auto page = pool.New();
-    ASSERT_TRUE(page.ok());
-  }
-  const IoSnapshot before = pool.StatsSnapshot();
-  const std::vector<IoSnapshot> before_shards = pool.ShardSnapshots();
-  {
-    ScopedPoolStatsRestore restore(&pool);
-    for (PageId id = 0; id < 4; ++id) {
-      auto page = pool.Fetch(id);
-      ASSERT_TRUE(page.ok());
-    }
-    pool.external_stats()->retries.fetch_add(5, std::memory_order_relaxed);
-    EXPECT_NE(pool.StatsSnapshot(), before);
-  }
-  EXPECT_EQ(pool.StatsSnapshot(), before);
-  EXPECT_EQ(pool.ShardSnapshots(), before_shards);
-}
-
 TEST(BufferPoolPrefetchTest, HintOnlyPrefetchCountsNoLogicalReads) {
   MemPager pager(64);
   BufferPoolOptions options;

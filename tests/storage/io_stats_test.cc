@@ -37,10 +37,9 @@ TEST(IoStatsTest, CopyAndSubtractSnapshotCounters) {
   EXPECT_EQ(b.retries, 0u);
 }
 
-// Regression for the save/restore trick in the ValidateInvariants()
-// implementations: counter increments are atomic, so hammering the same
-// IoStats from many threads is race-free (this test is the tsan canary)
-// and loses no increments.
+// Counter increments are atomic, so hammering the same IoStats from many
+// threads (a shard's counters under concurrent queries) is race-free
+// (this test is the tsan canary) and loses no increments.
 TEST(IoStatsTest, ConcurrentIncrementsAreAtomicAndLossless) {
   IoStats stats;
   constexpr int kThreads = 8;
@@ -62,8 +61,8 @@ TEST(IoStatsTest, ConcurrentIncrementsAreAtomicAndLossless) {
   EXPECT_EQ(stats.physical_reads, kThreads * kPerThread / 16);
 }
 
-// Save/restore must also be clean when concurrent *readers* snapshot the
-// counters mid-flight (what cost reporting does while a batch runs).
+// Copies must also be clean when concurrent *readers* snapshot the
+// counters mid-flight (what io_stats() does while a batch runs).
 TEST(IoStatsTest, ConcurrentSnapshotsNeverTearOrRace) {
   IoStats stats;
   std::atomic<bool> stop{false};
