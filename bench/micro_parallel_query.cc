@@ -4,8 +4,7 @@
 // results are bit-identical to the sequential run, plus a
 // sharded-buffer-pool section that hammers concurrent Fetch at one
 // shard (the old single-latch pool) vs. the auto shard count, reporting
-// per-shard hit rates, evictions, and prefetch efficiency (DESIGN.md
-// §16). Speedup depends on the machine's core count; the bit-identity
+// per-shard hit rates and evictions (DESIGN.md §16). Speedup depends on the machine's core count; the bit-identity
 // checks hold everywhere.
 
 #include <algorithm>
@@ -167,10 +166,9 @@ int main() {
   // Concurrent Fetch against one shard (the old single-latch pool) vs.
   // the auto shard count, same page universe and access pattern. Every
   // worker mixes a random working set with a leaf-chain-style
-  // sequential scan that hints the next page (Prefetch), so hit rates,
-  // evictions, and prefetch efficiency all have signal. MemPager keeps
-  // the I/O cost itself negligible: what this section measures is latch
-  // contention in the pool bookkeeping.
+  // sequential scan, so hit rates and evictions both have signal.
+  // MemPager keeps the I/O cost itself negligible: what this section
+  // measures is latch contention in the pool bookkeeping.
   {
     constexpr size_t kPoolPages = 2048;
     constexpr size_t kPoolCapacity = 512;
@@ -184,8 +182,6 @@ int main() {
       storage::BufferPoolOptions po;
       po.shards = shard_config;
       po.sync_on_flush = false;
-      po.readahead_pages = 8;
-      po.prefetch_threads = 1;  // Async loads give prefetch-hit signal.
       storage::BufferPool pool(&pager, kPoolCapacity, po);
       for (size_t i = 0; i < kPoolPages; ++i) {
         auto page = pool.New();
@@ -208,8 +204,7 @@ int main() {
         for (size_t t = 0; t < threads; ++t) {
           workers.emplace_back([&pool, t, fetches_per_thread] {
             Rng rng(42 + t);
-            // 75% random working-set fetches, 25% sequential scan with
-            // a leaf-chain readahead hint on the successor.
+            // 75% random working-set fetches, 25% sequential scan.
             storage::PageId cursor =
                 static_cast<storage::PageId>(rng.Index(kPoolPages));
             for (int i = 0; i < fetches_per_thread; ++i) {
@@ -217,7 +212,6 @@ int main() {
               if (i % 4 == 3) {
                 cursor = (cursor + 1) % kPoolPages;
                 id = cursor;
-                pool.Prefetch((cursor + 1) % kPoolPages);
               } else {
                 // Zipf-ish: half the traffic hits 1/8 of the pages, so
                 // the pool has a meaningful hot set to cache.
@@ -260,12 +254,10 @@ int main() {
             .Set("fetches_per_s", total_fetches / (ms / 1e3))
             .Set("speedup", pool_baseline_ms / ms)
             .Set("hit_rate", hit_rate)
-            .Set("evictions", total.evictions)
-            .Set("prefetch_issued", total.prefetch_issued)
-            .Set("prefetch_hits", total.prefetch_hits);
+            .Set("evictions", total.evictions);
 
         // Per-shard balance at the widest sweep point: shard-local hit
-        // rate, evictions, and prefetch efficiency.
+        // rate and evictions.
         if (threads == ThreadSweep().back()) {
           for (size_t i = 0; i < shards.size(); ++i) {
             const storage::IoSnapshot& s = shards[i];
@@ -274,18 +266,12 @@ int main() {
                     ? 0.0
                     : static_cast<double>(s.cache_hits) /
                           static_cast<double>(s.logical_reads);
-            const double prefetch_efficiency =
-                s.prefetch_issued == 0
-                    ? 0.0
-                    : static_cast<double>(s.prefetch_hits) /
-                          static_cast<double>(s.prefetch_issued);
             std::printf("  shard %zu: %llu fetches, hit rate %.3f, "
-                        "%llu evictions, prefetch eff %.3f\n",
+                        "%llu evictions\n",
                         i,
                         static_cast<unsigned long long>(s.logical_reads),
                         shard_hit_rate,
-                        static_cast<unsigned long long>(s.evictions),
-                        prefetch_efficiency);
+                        static_cast<unsigned long long>(s.evictions));
             report.AddRow()
                 .Set("section", "pool_shard")
                 .Set("config", config)
@@ -293,10 +279,7 @@ int main() {
                 .Set("threads", threads)
                 .Set("logical_reads", s.logical_reads)
                 .Set("hit_rate", shard_hit_rate)
-                .Set("evictions", s.evictions)
-                .Set("prefetch_issued", s.prefetch_issued)
-                .Set("prefetch_hits", s.prefetch_hits)
-                .Set("prefetch_efficiency", prefetch_efficiency);
+                .Set("evictions", s.evictions);
           }
         }
       }

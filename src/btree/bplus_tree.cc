@@ -24,7 +24,9 @@ namespace {
 //   [0]  u32 magic 'VITR'     [4]  u32 version
 //   [8]  u32 value_size       [12] u32 root page
 //   [16] u32 height           [20] u32 first leaf
-//   [24] u64 num_entries      [32] u32 free-list head
+//   [24] u64 num_entries      [32] u32 free-list slot
+//   The tree never frees a page, so the free-list slot (kept for the
+//   layout) always holds kInvalidPageId; Open rejects any other value.
 //
 // Interior node:
 //   [0] u8 type=2  [1] pad  [2] u16 count
@@ -36,8 +38,6 @@ namespace {
 //   [0] u8 type=1  [1] pad  [2] u16 count
 //   [4] u32 next leaf  [8] u32 prev leaf
 //   [12] count * { f64 key, u64 rid, value_size bytes }
-//
-// Free node: [0] u8 type=3, [4] u32 next-free.
 
 constexpr uint32_t kMagic = 0x56495452;  // 'VITR'
 // Version 2: the last storage::kPageFooterSize bytes of every page are
@@ -45,7 +45,6 @@ constexpr uint32_t kMagic = 0x56495452;  // 'VITR'
 constexpr uint32_t kVersion = 2;
 constexpr uint8_t kLeafType = 1;
 constexpr uint8_t kInternalType = 2;
-constexpr uint8_t kFreeType = 3;
 
 constexpr size_t kMetaMagic = 0;
 constexpr size_t kMetaVersion = 4;
@@ -54,7 +53,7 @@ constexpr size_t kMetaRoot = 12;
 constexpr size_t kMetaHeight = 16;
 constexpr size_t kMetaFirstLeaf = 20;
 constexpr size_t kMetaNumEntries = 24;
-constexpr size_t kMetaFreeHead = 32;
+constexpr size_t kMetaFreeSlot = 32;
 
 constexpr size_t kNodeType = 0;
 constexpr size_t kNodeCount = 2;
@@ -130,12 +129,6 @@ class NodeView {
     WriteLeafEntry(i, key, rid, value);
     set_count(static_cast<uint16_t>(n + 1));
   }
-  void LeafRemoveAt(size_t i) {
-    const size_t n = count();
-    std::memmove(leaf_entry(i), leaf_entry(i + 1),
-                 (n - i - 1) * leaf_entry_size());
-    set_count(static_cast<uint16_t>(n - 1));
-  }
 
   // --- interior accessors ---
   PageId child(size_t i) const {
@@ -187,13 +180,6 @@ class NodeView {
     EncodeU32(internal_entry(i) + 16, right);
     set_count(static_cast<uint16_t>(n + 1));
   }
-  // Removes separator i together with child i+1.
-  void InternalRemoveAt(size_t i) {
-    const size_t n = count();
-    std::memmove(internal_entry(i), internal_entry(i + 1),
-                 (n - i - 1) * kInternalEntry);
-    set_count(static_cast<uint16_t>(n - 1));
-  }
 
  private:
   uint8_t* p_;
@@ -207,11 +193,6 @@ struct BPlusTree::SplitResult {
   double sep_key = 0.0;
   uint64_t sep_rid = 0;
   PageId right = kInvalidPageId;
-};
-
-struct BPlusTree::DeleteResult {
-  bool found = false;
-  bool underflow = false;
 };
 
 // ---- construction ------------------------------------------------------
@@ -273,7 +254,6 @@ Status BPlusTree::InitEmpty() {
   first_leaf_ = root.id();
   height_ = 1;
   num_entries_ = 0;
-  free_head_ = kInvalidPageId;
   meta.MarkDirty();
   meta.Release();
   return StoreMeta();
@@ -293,7 +273,9 @@ Status BPlusTree::LoadMeta() {
   height_ = DecodeU32(p + kMetaHeight);
   first_leaf_ = DecodeU32(p + kMetaFirstLeaf);
   num_entries_ = DecodeU64(p + kMetaNumEntries);
-  free_head_ = DecodeU32(p + kMetaFreeHead);
+  if (DecodeU32(p + kMetaFreeSlot) != kInvalidPageId) {
+    return Status::Corruption("B+-tree meta page names a free page");
+  }
   const size_t usable =
       pool_->pager()->page_size() - storage::kPageFooterSize;
   leaf_capacity_ =
@@ -313,34 +295,8 @@ Status BPlusTree::StoreMeta() {
   EncodeU32(p + kMetaHeight, height_);
   EncodeU32(p + kMetaFirstLeaf, first_leaf_);
   EncodeU64(p + kMetaNumEntries, num_entries_);
-  EncodeU32(p + kMetaFreeHead, free_head_);
+  EncodeU32(p + kMetaFreeSlot, kInvalidPageId);
   meta.MarkDirty();
-  return Status::OK();
-}
-
-// ---- node allocation / recycling ---------------------------------------
-
-Result<PageRef> BPlusTree::AllocNode() {
-  if (free_head_ != kInvalidPageId) {
-    VITRI_ASSIGN_OR_RETURN(PageRef page, pool_->Fetch(free_head_));
-    if (page.data()[kNodeType] != kFreeType) {
-      return Status::Corruption("free-list page is not marked free");
-    }
-    free_head_ = DecodeU32(page.data() + kInternalChild0);
-    std::memset(page.mutable_data(), 0, pool_->pager()->page_size());
-    page.MarkDirty();
-    return page;
-  }
-  return pool_->New();
-}
-
-Status BPlusTree::FreeNode(PageId id) {
-  VITRI_ASSIGN_OR_RETURN(PageRef page, pool_->Fetch(id));
-  uint8_t* p = page.mutable_data();
-  p[kNodeType] = kFreeType;
-  EncodeU32(p + kInternalChild0, free_head_);
-  page.MarkDirty();
-  free_head_ = id;
   return Status::OK();
 }
 
@@ -355,7 +311,7 @@ Status BPlusTree::Insert(double key, uint64_t rid,
   VITRI_ASSIGN_OR_RETURN(SplitResult split, InsertRec(root_, key, rid, value));
   if (split.split) {
     // Grow a new root above the old one.
-    VITRI_ASSIGN_OR_RETURN(PageRef new_root, AllocNode());
+    VITRI_ASSIGN_OR_RETURN(PageRef new_root, pool_->New());
     NodeView view(new_root.mutable_data(), value_size_);
     view.set_type(kInternalType);
     view.set_count(0);
@@ -412,7 +368,7 @@ Result<BPlusTree::SplitResult> BPlusTree::InsertRec(
           {key, rid, std::vector<uint8_t>(value.begin(), value.end())});
     }
 
-    VITRI_ASSIGN_OR_RETURN(PageRef right_page, AllocNode());
+    VITRI_ASSIGN_OR_RETURN(PageRef right_page, pool_->New());
     NodeView right(right_page.mutable_data(), value_size_);
     right.set_type(kLeafType);
     right.set_count(0);
@@ -488,7 +444,7 @@ Result<BPlusTree::SplitResult> BPlusTree::InsertRec(
   }
   const PageId child0 = node.child(0);
 
-  VITRI_ASSIGN_OR_RETURN(PageRef right_page, AllocNode());
+  VITRI_ASSIGN_OR_RETURN(PageRef right_page, pool_->New());
   NodeView right(right_page.mutable_data(), value_size_);
   right.set_type(kInternalType);
   right.set_count(0);
@@ -565,14 +521,6 @@ Result<uint64_t> BPlusTree::RangeScan(double lo, double hi,
     NodeView leaf(const_cast<uint8_t*>(page.data()), value_size_);
     size_t pos = first_leaf_of_scan ? leaf.LeafLowerBound(lo, 0) : 0;
     first_leaf_of_scan = false;
-    // The scan will follow the sibling chain unless this leaf already
-    // covers hi; hint the pool before consuming the current leaf so the
-    // readahead overlaps with the callback work. Bulk-loaded chains are
-    // allocated in order, so siblings are contiguous on disk and the
-    // pool's readahead window covers several upcoming leaves.
-    if (leaf.count() > 0 && leaf.leaf_key(leaf.count() - 1) <= hi) {
-      pool_->Prefetch(leaf.next());
-    }
     for (; pos < leaf.count(); ++pos) {
       const double k = leaf.leaf_key(pos);
       if (k > hi) return visited;
@@ -586,181 +534,6 @@ Result<uint64_t> BPlusTree::RangeScan(double lo, double hi,
     leaf_id = leaf.next();
   }
   return visited;
-}
-
-// ---- delete -------------------------------------------------------------
-
-Result<bool> BPlusTree::Delete(double key, uint64_t rid) {
-  WriterLock lock(*latch_);
-  VITRI_ASSIGN_OR_RETURN(DeleteResult result, DeleteRec(root_, key, rid));
-  if (!result.found) return false;
-  --num_entries_;
-
-  // Shrink the root while it is an interior node with a single child.
-  for (;;) {
-    VITRI_ASSIGN_OR_RETURN(PageRef page, pool_->Fetch(root_));
-    NodeView node(const_cast<uint8_t*>(page.data()), value_size_);
-    if (node.is_leaf() || node.count() > 0) break;
-    const PageId only_child = node.child(0);
-    page.Release();
-    VITRI_RETURN_IF_ERROR(FreeNode(root_));
-    root_ = only_child;
-    --height_;
-  }
-  VITRI_RETURN_IF_ERROR(StoreMeta());
-  VITRI_DCHECK_OK(ValidateInvariantsLocked({}));
-  return true;
-}
-
-Result<BPlusTree::DeleteResult> BPlusTree::DeleteRec(PageId node_id,
-                                                     double key,
-                                                     uint64_t rid) {
-  VITRI_ASSIGN_OR_RETURN(PageRef page, pool_->Fetch(node_id));
-  NodeView node(page.mutable_data(), value_size_);
-
-  if (node.is_leaf()) {
-    const size_t pos = node.LeafLowerBound(key, rid);
-    if (pos >= node.count() ||
-        !CompositeEq(node.leaf_key(pos), node.leaf_rid(pos), key, rid)) {
-      return DeleteResult{};
-    }
-    node.LeafRemoveAt(pos);
-    page.MarkDirty();
-    DeleteResult out;
-    out.found = true;
-    out.underflow = node.count() < leaf_capacity_ / 2;
-    return out;
-  }
-
-  const size_t idx = node.InternalDescendIndex(key, rid);
-  const PageId child_id = node.child(idx);
-  VITRI_ASSIGN_OR_RETURN(DeleteResult child_result,
-                         DeleteRec(child_id, key, rid));
-  if (!child_result.found) return DeleteResult{};
-
-  DeleteResult out;
-  out.found = true;
-  if (child_result.underflow) {
-    bool parent_underflow = false;
-    VITRI_RETURN_IF_ERROR(RebalanceChild(page, static_cast<uint32_t>(idx),
-                                         &parent_underflow));
-    out.underflow = parent_underflow;
-  }
-  return out;
-}
-
-Status BPlusTree::RebalanceChild(PageRef& parent_ref, uint32_t child_pos,
-                                 bool* parent_underflow) {
-  NodeView parent(parent_ref.mutable_data(), value_size_);
-  *parent_underflow = false;
-
-  // Prefer the left sibling; fall back to the right one.
-  const bool use_left = child_pos > 0;
-  const uint32_t left_pos = use_left ? child_pos - 1 : child_pos;
-  const uint32_t right_pos = left_pos + 1;
-  if (right_pos > parent.count()) {
-    // Parent has a single child: nothing to rebalance against. Can only
-    // happen at a root about to shrink; leave it to the caller.
-    return Status::OK();
-  }
-
-  VITRI_ASSIGN_OR_RETURN(PageRef left_ref,
-                         pool_->Fetch(parent.child(left_pos)));
-  VITRI_ASSIGN_OR_RETURN(PageRef right_ref,
-                         pool_->Fetch(parent.child(right_pos)));
-  NodeView left(left_ref.mutable_data(), value_size_);
-  NodeView right(right_ref.mutable_data(), value_size_);
-  const uint32_t sep_idx = left_pos;  // Separator between left and right.
-
-  if (left.is_leaf()) {
-    const uint32_t min_count = leaf_capacity_ / 2;
-    // Borrow from whichever sibling has spare entries.
-    if (use_left ? left.count() > min_count : right.count() > min_count) {
-      if (use_left) {
-        // Move the tail of `left` to the front of `right`.
-        const size_t src = left.count() - 1;
-        right.LeafInsertAt(0, left.leaf_key(src), left.leaf_rid(src),
-                           left.leaf_value(src));
-        left.LeafRemoveAt(src);
-      } else {
-        // Move the head of `right` to the tail of `left`.
-        left.LeafInsertAt(left.count(), right.leaf_key(0),
-                          right.leaf_rid(0), right.leaf_value(0));
-        right.LeafRemoveAt(0);
-      }
-      parent.set_sep(sep_idx, right.leaf_key(0), right.leaf_rid(0));
-      left_ref.MarkDirty();
-      right_ref.MarkDirty();
-      parent_ref.MarkDirty();
-      return Status::OK();
-    }
-    // Merge right into left.
-    for (size_t i = 0; i < right.count(); ++i) {
-      left.LeafInsertAt(left.count(), right.leaf_key(i), right.leaf_rid(i),
-                        right.leaf_value(i));
-    }
-    left.set_next(right.next());
-    if (right.next() != kInvalidPageId) {
-      VITRI_ASSIGN_OR_RETURN(PageRef after, pool_->Fetch(right.next()));
-      NodeView after_view(after.mutable_data(), value_size_);
-      after_view.set_prev(left_ref.id());
-      after.MarkDirty();
-    }
-    const PageId dead = right_ref.id();
-    right_ref.Release();
-    VITRI_RETURN_IF_ERROR(FreeNode(dead));
-    parent.InternalRemoveAt(sep_idx);
-    left_ref.MarkDirty();
-    parent_ref.MarkDirty();
-    *parent_underflow = parent.count() < internal_capacity_ / 2;
-    return Status::OK();
-  }
-
-  // Interior children.
-  const uint32_t min_count = internal_capacity_ / 2;
-  if (use_left ? left.count() > min_count : right.count() > min_count) {
-    if (use_left) {
-      // Rotate right: parent separator moves down into `right`, left's
-      // last separator moves up, left's last child becomes right's first.
-      const size_t src = left.count() - 1;
-      const PageId moved_child = left.child(src + 1);
-      // Prepend to right: shift children and separators.
-      right.InternalInsertAt(0, parent.sep_key(sep_idx),
-                             parent.sep_rid(sep_idx), right.child(0));
-      right.set_child(0, moved_child);
-      parent.set_sep(sep_idx, left.sep_key(src), left.sep_rid(src));
-      left.InternalRemoveAt(src);
-    } else {
-      // Rotate left: parent separator moves down into `left`, right's
-      // first separator moves up, right's first child moves to left.
-      left.InternalInsertAt(left.count(), parent.sep_key(sep_idx),
-                            parent.sep_rid(sep_idx), right.child(0));
-      parent.set_sep(sep_idx, right.sep_key(0), right.sep_rid(0));
-      const PageId new_first = right.child(1);
-      right.InternalRemoveAt(0);
-      right.set_child(0, new_first);
-    }
-    left_ref.MarkDirty();
-    right_ref.MarkDirty();
-    parent_ref.MarkDirty();
-    return Status::OK();
-  }
-
-  // Merge interior right into left: left ++ [parent separator] ++ right.
-  left.InternalInsertAt(left.count(), parent.sep_key(sep_idx),
-                        parent.sep_rid(sep_idx), right.child(0));
-  for (size_t i = 0; i < right.count(); ++i) {
-    left.InternalInsertAt(left.count(), right.sep_key(i), right.sep_rid(i),
-                          right.child(i + 1));
-  }
-  const PageId dead = right_ref.id();
-  right_ref.Release();
-  VITRI_RETURN_IF_ERROR(FreeNode(dead));
-  parent.InternalRemoveAt(sep_idx);
-  left_ref.MarkDirty();
-  parent_ref.MarkDirty();
-  *parent_underflow = parent.count() < internal_capacity_ / 2;
-  return Status::OK();
 }
 
 // ---- bulk load ----------------------------------------------------------
@@ -792,27 +565,29 @@ Status BPlusTree::BulkLoad(const std::vector<Entry>& entries,
   const size_t per_internal = std::max<size_t>(
       2, static_cast<size_t>(fill_factor * internal_capacity_));
 
-  // The pre-existing empty root leaf is recycled.
-  VITRI_RETURN_IF_ERROR(FreeNode(root_));
-
   struct ChildRef {
     double key;
     uint64_t rid;
     PageId page;
   };
 
-  // Level 0: pack leaves.
+  // Level 0: pack leaves. An empty tree is one empty root leaf; the
+  // first packed leaf overwrites it in place and the rest are new pages,
+  // so the chain is contiguous on disk.
   std::vector<ChildRef> level;
   PageId prev_leaf = kInvalidPageId;
   size_t i = 0;
   while (i < entries.size()) {
     size_t take = std::min(per_leaf, entries.size() - i);
-    // Avoid a final underfull leaf below the deletion threshold.
+    // Split the tail evenly rather than leave a last leaf under half
+    // of per_leaf.
     const size_t remaining_after = entries.size() - i - take;
     if (remaining_after > 0 && remaining_after < per_leaf / 2) {
       take = (entries.size() - i + 1) / 2;
     }
-    VITRI_ASSIGN_OR_RETURN(PageRef page, AllocNode());
+    VITRI_ASSIGN_OR_RETURN(PageRef page, prev_leaf == kInvalidPageId
+                                             ? pool_->Fetch(root_)
+                                             : pool_->New());
     NodeView leaf(page.mutable_data(), value_size_);
     leaf.set_type(kLeafType);
     leaf.set_count(0);
@@ -848,7 +623,7 @@ Status BPlusTree::BulkLoad(const std::vector<Entry>& entries,
       if (remaining_after > 0 && remaining_after < (per_internal + 1) / 2) {
         take = (level.size() - j + 1) / 2;
       }
-      VITRI_ASSIGN_OR_RETURN(PageRef page, AllocNode());
+      VITRI_ASSIGN_OR_RETURN(PageRef page, pool_->New());
       NodeView inner(page.mutable_data(), value_size_);
       inner.set_type(kInternalType);
       inner.set_count(0);
@@ -898,7 +673,7 @@ Status BPlusTree::ValidateInvariantsLocked(
         DecodeU32(p + kMetaHeight) != height_ ||
         DecodeU32(p + kMetaFirstLeaf) != first_leaf_ ||
         DecodeU64(p + kMetaNumEntries) != num_entries_ ||
-        DecodeU32(p + kMetaFreeHead) != free_head_) {
+        DecodeU32(p + kMetaFreeSlot) != kInvalidPageId) {
       return Status::Corruption(
           "meta page disagrees with the in-memory tree header");
     }
@@ -939,27 +714,13 @@ Status BPlusTree::ValidateInvariantsLocked(
     return Status::Corruption("leaf chain shorter than the tree");
   }
 
-  // Free list: every page marked free, no cycles, and exact page
-  // accounting — meta + reachable nodes + free pages cover the pager.
+  // Exact page accounting: nothing is ever freed, so the meta page and
+  // the reachable nodes cover the pager.
   const uint64_t total_pages = pool_->pager()->num_pages();
-  uint64_t free_count = 0;
-  PageId free_id = free_head_;
-  while (free_id != kInvalidPageId) {
-    if (++free_count > total_pages) {
-      return Status::Corruption("free list cycle");
-    }
-    VITRI_ASSIGN_OR_RETURN(PageRef page, pool_->Fetch(free_id));
-    if (page.data()[kNodeType] != kFreeType) {
-      return Status::Corruption("free-list page " + std::to_string(free_id) +
-                                " is not marked free");
-    }
-    free_id = DecodeU32(page.data() + kInternalChild0);
-  }
-  if (1 + node_count + free_count != total_pages) {
+  if (1 + node_count != total_pages) {
     return Status::Corruption(
         "page accounting mismatch: meta + " + std::to_string(node_count) +
-        " nodes + " + std::to_string(free_count) + " free pages != " +
-        std::to_string(total_pages) + " pager pages");
+        " nodes != " + std::to_string(total_pages) + " pager pages");
   }
 
   if (options.verify_checksums) {

@@ -34,10 +34,9 @@ using ScanCallback = std::function<bool(double key, uint64_t rid,
 /// Knobs for BPlusTree::ValidateInvariants.
 struct TreeCheckOptions {
   /// Minimum occupancy fraction every non-root node must satisfy.
-  /// The default is safely below both the deletion rebalance threshold
-  /// (1/2) and the worst case of a BulkLoad at fill factors >= 0.5;
-  /// callers that bulk-loaded at a known fill factor f may tighten it
-  /// to f/2.
+  /// The default is safely below both a split's half-full halves and the
+  /// worst case of a BulkLoad at fill factors >= 0.5; callers that
+  /// bulk-loaded at a known fill factor f may tighten it to f/2.
   double min_fill = 0.25;
   /// Also re-read every page of the backing pager and verify its
   /// integrity footer (storage::VerifyAllPages). Off by default: the
@@ -47,12 +46,14 @@ struct TreeCheckOptions {
 };
 
 /// Disk-paged B+-tree over composite keys (double, uint64) with
-/// fixed-size values, built on a BufferPool.
+/// fixed-size values, built on a BufferPool. Insert-only, like the
+/// paper's index: it is bulk-loaded, grows by inserts with splits, and
+/// is rebuilt rather than shrunk, so it never frees a page.
 ///
 /// Thread-safety: the tree carries a reader-writer latch. Lookup() and
 /// RangeScan() take it shared and may run concurrently from any number
-/// of threads; Insert(), Delete(), BulkLoad(), and ValidateInvariants()
-/// take it exclusive, so one writer proceeds alone while readers drain. This is
+/// of threads; Insert(), BulkLoad(), and ValidateInvariants() take it
+/// exclusive, so one writer proceeds alone while readers drain. This is
 /// a deliberately coarse scheme: the owning ViTriIndex already
 /// serializes writers against queries with its own latch, so per-node
 /// latch crabbing would buy no concurrency until that index-level
@@ -80,17 +81,14 @@ class BPlusTree {
   static Result<BPlusTree> Create(storage::BufferPool* pool,
                                   uint32_t value_size);
 
-  /// Opens an existing tree (meta page must be present and valid).
+  /// Opens an existing tree (meta page must be present and valid; a
+  /// meta page naming a free page is Corruption).
   static Result<BPlusTree> Open(storage::BufferPool* pool);
 
   /// Inserts one record. (key, rid) pairs must be unique; inserting a
   /// duplicate composite key fails with InvalidArgument.
   Status Insert(double key, uint64_t rid,
                 std::span<const uint8_t> value);
-
-  /// Deletes the record with composite key (key, rid). Returns true if
-  /// it existed. Rebalances (borrow/merge) on underflow.
-  Result<bool> Delete(double key, uint64_t rid);
 
   /// Looks up a single record; returns false if absent. On success the
   /// payload is copied into *value (resized). Safe to call concurrently
@@ -110,7 +108,8 @@ class BPlusTree {
 
   /// Bulk-loads `entries` (must be sorted by (key, rid), strictly
   /// increasing, all values of value_size bytes) into an empty tree,
-  /// packing leaves to `fill_factor` occupancy.
+  /// packing leaves to `fill_factor` occupancy. The first leaf takes the
+  /// empty root's page.
   Status BulkLoad(const std::vector<Entry>& entries,
                   double fill_factor = 0.9);
 
@@ -144,9 +143,7 @@ class BPlusTree {
   ///  * all leaves at the same depth (== height) and the doubly linked
   ///    leaf chain enumerating exactly the tree's leaves in key order;
   ///  * the meta page agreeing with the in-memory header fields;
-  ///  * the free list well-formed (marked pages, no cycles) and page
-  ///    accounting exact: meta + reachable nodes + free pages cover the
-  ///    pager;
+  ///  * page accounting exact: meta + reachable nodes = pager pages;
   ///  * optionally (TreeCheckOptions::verify_checksums) every page's
   ///    integrity footer.
   /// Pages faulted in during the walk are checksum-verified by the
@@ -162,7 +159,6 @@ class BPlusTree {
 
   // --- internal helpers, defined in the .cc ---
   struct SplitResult;
-  struct DeleteResult;
 
   // Every internal helper below runs inside a writer's (or, for the
   // const walkers, at least a reader's) critical section; REQUIRES makes
@@ -170,16 +166,10 @@ class BPlusTree {
   Status InitEmpty() VITRI_REQUIRES(*latch_);
   Status LoadMeta() VITRI_REQUIRES(*latch_);
   Status StoreMeta() VITRI_REQUIRES(*latch_);
-  Result<storage::PageRef> AllocNode() VITRI_REQUIRES(*latch_);
-  Status FreeNode(storage::PageId id) VITRI_REQUIRES(*latch_);
   Result<SplitResult> InsertRec(storage::PageId node_id, double key,
                                 uint64_t rid,
                                 std::span<const uint8_t> value)
       VITRI_REQUIRES(*latch_);
-  Result<DeleteResult> DeleteRec(storage::PageId node_id, double key,
-                                 uint64_t rid) VITRI_REQUIRES(*latch_);
-  Status RebalanceChild(storage::PageRef& parent, uint32_t child_pos,
-                        bool* parent_underflow) VITRI_REQUIRES(*latch_);
   // ValidateInvariants minus the latch, for self-checks already inside
   // a writer's critical section.
   Status ValidateInvariantsLocked(const TreeCheckOptions& options) const
@@ -204,8 +194,6 @@ class BPlusTree {
   uint32_t value_size_ = 0;
   storage::PageId root_ VITRI_GUARDED_BY(*latch_) = storage::kInvalidPageId;
   storage::PageId first_leaf_ VITRI_GUARDED_BY(*latch_) =
-      storage::kInvalidPageId;
-  storage::PageId free_head_ VITRI_GUARDED_BY(*latch_) =
       storage::kInvalidPageId;
   uint32_t height_ VITRI_GUARDED_BY(*latch_) = 0;
   uint64_t num_entries_ VITRI_GUARDED_BY(*latch_) = 0;

@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -28,6 +29,18 @@ std::string ErrnoString(int errno_value) {
 const char* GetEnv(const char* name) {
   // Safe per the contract in the header: no setenv/putenv after startup.
   return std::getenv(name);  // NOLINT(concurrency-mt-unsafe)
+}
+
+std::optional<size_t> GetEnvPositive(const char* name) {
+  const char* text = GetEnv(name);
+  if (text == nullptr) return std::nullopt;
+  const char* end = text + std::strlen(text);
+  size_t value = 0;
+  // from_chars takes no sign, space or prefix for an unsigned type, and
+  // reports overflow instead of saturating.
+  const auto [stop, error] = std::from_chars(text, end, value);
+  if (error != std::errc() || stop != end || value == 0) return std::nullopt;
+  return value;
 }
 
 Result<size_t> ReadFull(int fd, void* buf, size_t n) {

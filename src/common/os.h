@@ -2,6 +2,7 @@
 #define VITRI_COMMON_OS_H_
 
 #include <cstddef>
+#include <optional>
 #include <string>
 
 #include "common/result.h"
@@ -20,6 +21,13 @@ std::string ErrnoString(int errno_value);
 /// justification in one place instead of a NOLINT per call site.
 /// Returns nullptr when the variable is unset, like getenv.
 const char* GetEnv(const char* name);
+
+/// GetEnv(name) read as a positive decimal count: digits only, greater
+/// than zero, within size_t. Returns nullopt when the variable is unset
+/// or malformed — "0", "-1", "+4", " 4", "4x" and "bogus" alike — so a
+/// bad value falls back to the caller's default instead of wrapping to
+/// a huge count.
+std::optional<size_t> GetEnvPositive(const char* name);
 
 /// Full-transfer read(2)/write(2) loops for streaming descriptors
 /// (sockets, pipes): retry EINTR, advance past short transfers, and

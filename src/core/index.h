@@ -341,19 +341,6 @@ class ViTriIndex {
     ReaderLock lock(*latch_);
     return pool_->stats();
   }
-  /// Per-shard snapshots of the pool's I/O counters, in shard order.
-  /// Same latch discipline as io_stats().
-  std::vector<storage::IoSnapshot> shard_io_stats() const
-      VITRI_EXCLUDES(*latch_) {
-    ReaderLock lock(*latch_);
-    return pool_->ShardSnapshots();
-  }
-  /// Number of buffer-pool shards actually in use (after the auto /
-  /// VITRI_POOL_SHARDS resolution in the pool constructor).
-  size_t pool_shards() const VITRI_EXCLUDES(*latch_) {
-    ReaderLock lock(*latch_);
-    return pool_->num_shards();
-  }
 
   /// Tree pages whose checksum verification failed. While non-empty,
   /// queries touching them are served degraded and NeedsRebuild() is

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -79,18 +78,10 @@ const char* ShardAssignmentName(ShardAssignment assignment) {
 }
 
 size_t ResolveIndexShards(size_t requested) {
-  size_t shards = requested;
-  if (shards == 0) {
-    shards = 1;
-    if (const char* env = GetEnv("VITRI_INDEX_SHARDS")) {
-      char* end = nullptr;
-      const unsigned long parsed = std::strtoul(env, &end, 10);
-      if (end != env && *end == '\0' && parsed > 0) {
-        shards = static_cast<size_t>(parsed);
-      }
-    }
-  }
-  return std::min(std::max<size_t>(shards, 1), kMaxIndexShards);
+  const size_t shards =
+      requested != 0 ? requested
+                     : GetEnvPositive("VITRI_INDEX_SHARDS").value_or(1);
+  return std::min(shards, kMaxIndexShards);
 }
 
 size_t ShardedViTriIndex::ShardOf(uint32_t video_id, size_t num_shards,

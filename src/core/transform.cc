@@ -59,17 +59,6 @@ Result<OneDimensionalTransform> OneDimensionalTransform::Fit(
   return t;
 }
 
-Result<OneDimensionalTransform> OneDimensionalTransform::WithReferencePoint(
-    linalg::Vec reference, ReferencePointKind kind) {
-  if (reference.empty()) {
-    return Status::InvalidArgument("reference point must be non-empty");
-  }
-  OneDimensionalTransform t;
-  t.kind_ = kind;
-  t.reference_ = std::move(reference);
-  return t;
-}
-
 double OneDimensionalTransform::Key(linalg::VecView point) const {
   return linalg::Distance(point, reference_);
 }

@@ -51,14 +51,6 @@ class OneDimensionalTransform {
       const std::vector<linalg::Vec>& points, ReferencePointKind kind,
       double margin_factor = 0.25);
 
-  /// Wraps an externally chosen reference point without fitting — used
-  /// by the sharded index to pin one globally fitted O' into every
-  /// shard. The point's coordinates are not validated (the sharded
-  /// ValidateInvariants() owns the finiteness check), but it must be
-  /// non-empty. No PCA snapshot is kept, so DriftAngle() returns 0.
-  static Result<OneDimensionalTransform> WithReferencePoint(
-      linalg::Vec reference, ReferencePointKind kind);
-
   ReferencePointKind kind() const { return kind_; }
   const linalg::Vec& reference_point() const { return reference_; }
 

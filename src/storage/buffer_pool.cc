@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <string>
 
 #include "common/check.h"
 #include "common/logging.h"
 #include "common/metrics.h"
+#include "common/os.h"
 #include "storage/page_footer.h"
 
 namespace vitri::storage {
@@ -31,15 +31,9 @@ namespace {
 
 size_t ResolveShardCount(size_t capacity, const BufferPoolOptions& options) {
   size_t n = options.shards;
-  if (n == 0) {
-    // Env override applies to *auto* only: code that pins an explicit
-    // count did so for a reason (tests proving shard-local properties).
-    if (const char* env = std::getenv("VITRI_POOL_SHARDS")) {
-      char* end = nullptr;
-      const unsigned long v = std::strtoul(env, &end, 10);
-      if (end != env && *end == '\0' && v > 0) n = static_cast<size_t>(v);
-    }
-  }
+  // Env override applies to *auto* only: code that pins an explicit
+  // count did so for a reason (tests proving shard-local properties).
+  if (n == 0) n = GetEnvPositive("VITRI_POOL_SHARDS").value_or(0);
   if (n == 0) n = std::clamp<size_t>(capacity / 8, 1, 8);
   return std::clamp<size_t>(n, 1, capacity);
 }
@@ -81,20 +75,11 @@ BufferPool::BufferPool(Pager* pager, size_t capacity,
     shard->metrics.fetches = registry.GetCounter(prefix + "fetches");
     shard->metrics.hits = registry.GetCounter(prefix + "hits");
     shard->metrics.evictions = registry.GetCounter(prefix + "evictions");
-    shard->metrics.prefetch_issued =
-        registry.GetCounter(prefix + "prefetch_issued");
-    shard->metrics.prefetch_hits =
-        registry.GetCounter(prefix + "prefetch_hits");
     shards_.push_back(std::move(shard));
-  }
-  if (options_.prefetch_threads > 0) {
-    prefetch_pool_ = std::make_unique<ThreadPool>(options_.prefetch_threads);
   }
 }
 
 BufferPool::~BufferPool() {
-  DrainPrefetches();
-  prefetch_pool_.reset();  // Joins the workers; no loads in flight after.
   const Status s = FlushAll();
   if (!s.ok()) {
     VITRI_LOG(kError) << "BufferPool flush on destruction failed: "
@@ -116,7 +101,7 @@ Result<PageRef> BufferPool::Fetch(PageId id, IoTally* tally) {
   // The registry counters are process-wide and cumulative, like the
   // shard's IoStats; what this one request cost goes to its tally.
   VITRI_METRIC_COUNTER("storage.pool.fetches")->Increment();
-  Result<uint8_t*> data = LoadPage(s, id, /*demand=*/true, tally);
+  Result<uint8_t*> data = LoadPage(s, id, tally);
   if (timed) {
     tally->fetch_seconds +=
         std::chrono::duration<double>(Clock::now() - start).count();
@@ -142,7 +127,6 @@ Result<PageRef> BufferPool::New() {
   f.pin_count = 1;
   f.dirty = true;
   f.loading = false;
-  f.prefetched = false;
   std::fill(f.data.begin(), f.data.end(), 0);
   s.table.emplace(id, slot);
   VITRI_METRIC_GAUGE("storage.pool.resident")->Add(1);
@@ -150,43 +134,7 @@ Result<PageRef> BufferPool::New() {
   return PageRef(this, id, f.data.data());
 }
 
-void BufferPool::Prefetch(PageId id) {
-  if (options_.readahead_pages == 0 || id == kInvalidPageId) return;
-  Shard& s = ShardFor(id);
-  {
-    MutexLock lock(s.latch);
-    if (s.table.find(id) != s.table.end()) return;  // Already resident.
-  }
-  pager_->WillNeed(id, options_.readahead_pages);
-  ++s.stats.prefetch_issued;
-  s.metrics.prefetch_issued->Increment();
-  if (prefetch_pool_ == nullptr) return;
-  {
-    MutexLock lock(prefetch_mu_);
-    ++prefetch_outstanding_;
-  }
-  prefetch_pool_->Submit([this, id] {
-    PrefetchLoad(id);
-    MutexLock lock(prefetch_mu_);
-    if (--prefetch_outstanding_ == 0) prefetch_cv_.NotifyAll();
-  });
-}
-
-void BufferPool::PrefetchLoad(PageId id) {
-  // Best-effort by design: a full shard, an I/O error, or a checksum
-  // mismatch just means the demand fetch does the work (and surfaces
-  // the error, if it persists) — a prefetch must never fail a query.
-  (void)LoadPage(ShardFor(id), id, /*demand=*/false, nullptr);
-}
-
-void BufferPool::DrainPrefetches() {
-  if (prefetch_pool_ == nullptr) return;
-  MutexLock lock(prefetch_mu_);
-  while (prefetch_outstanding_ > 0) prefetch_cv_.Wait(lock);
-}
-
-Result<uint8_t*> BufferPool::LoadPage(Shard& s, PageId id, bool demand,
-                                      IoTally* tally) {
+Result<uint8_t*> BufferPool::LoadPage(Shard& s, PageId id, IoTally* tally) {
   for (;;) {
     {
       MutexLock lock(s.latch);
@@ -209,17 +157,10 @@ Result<uint8_t*> BufferPool::LoadPage(Shard& s, PageId id, bool demand,
       auto it = s.table.find(id);
       if (it != s.table.end()) {
         Frame& f = s.frames[it->second];
-        if (!demand) return f.data.data();  // Resident; prefetch is done.
         ++s.stats.cache_hits;
         if (tally != nullptr) ++tally->io.cache_hits;
         s.metrics.hits->Increment();
         VITRI_METRIC_COUNTER("storage.pool.hits")->Increment();
-        if (f.prefetched) {
-          f.prefetched = false;
-          ++s.stats.prefetch_hits;
-          if (tally != nullptr) ++tally->io.prefetch_hits;
-          s.metrics.prefetch_hits->Increment();
-        }
         if (f.pin_count == 0) s.replacer.Pin(it->second);
         ++f.pin_count;
         return f.data.data();
@@ -239,14 +180,13 @@ Result<uint8_t*> BufferPool::LoadPage(Shard& s, PageId id, bool demand,
         continue;
       }
       f.id = id;
-      f.pin_count = 1;  // The load itself holds a pin, demand or not.
+      f.pin_count = 1;
       f.dirty = false;
       f.loading = true;
-      f.prefetched = false;
       s.table.emplace(id, slot);
       ++s.stats.physical_reads;
       if (tally != nullptr) ++tally->io.physical_reads;
-      if (demand) VITRI_METRIC_COUNTER("storage.pool.misses")->Increment();
+      VITRI_METRIC_COUNTER("storage.pool.misses")->Increment();
     }
 
     // The transfer runs unlatched; `loading` marks the bytes as ours.
@@ -272,11 +212,6 @@ Result<uint8_t*> BufferPool::LoadPage(Shard& s, PageId id, bool demand,
       return status;
     }
     VITRI_METRIC_GAUGE("storage.pool.resident")->Add(1);
-    if (!demand) {
-      f.pin_count = 0;
-      f.prefetched = true;
-      s.replacer.Unpin(slot);
-    }
     s.cv.NotifyAll();
     VITRI_DCHECK_OK(ValidateShardLocked(s));
     return f.data.data();
@@ -302,7 +237,6 @@ Result<size_t> BufferPool::ClaimSlot(Shard& s, IoTally* tally) {
     s.table.erase(victim_id);
     if (!vf.dirty) {
       vf.id = kInvalidPageId;
-      vf.prefetched = false;
       ++s.stats.evictions;
       if (tally != nullptr) ++tally->io.evictions;
       s.metrics.evictions->Increment();
@@ -335,7 +269,6 @@ Result<size_t> BufferPool::ClaimSlot(Shard& s, IoTally* tally) {
   }
   vf.dirty = false;
   vf.id = kInvalidPageId;
-  vf.prefetched = false;
   ++s.stats.evictions;
   if (tally != nullptr) ++tally->io.evictions;
   s.metrics.evictions->Increment();
@@ -358,7 +291,6 @@ Status BufferPool::FlushAll() {
 }
 
 Status BufferPool::EvictAll() {
-  DrainPrefetches();
   for (auto& shard : shards_) {
     Shard& s = *shard;
     MutexLock lock(s.latch);
@@ -372,7 +304,6 @@ Status BufferPool::EvictAll() {
       VITRI_RETURN_IF_ERROR(WriteBackLocked(s, f));
       s.replacer.Pin(slot);
       f.id = kInvalidPageId;
-      f.prefetched = false;
       s.free_list.push_back(slot);
       it = s.table.erase(it);
       VITRI_METRIC_GAUGE("storage.pool.resident")->Add(-1);

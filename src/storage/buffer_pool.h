@@ -11,7 +11,6 @@
 #include "common/annotated_lock.h"
 #include "common/metrics.h"
 #include "common/result.h"
-#include "common/thread_pool.h"
 #include "storage/io_stats.h"
 #include "storage/page.h"
 #include "storage/pager.h"
@@ -97,26 +96,12 @@ struct BufferPoolOptions {
   /// is how the one-shard CI leg pins the whole suite to one shard.
   /// Always clamped to [1, capacity] so every shard owns >= 1 frame.
   size_t shards = 0;
-
-  /// Pages per readahead hint: Prefetch(id) advises the pager that
-  /// [id, id+readahead_pages) will be read (FilePager turns this into
-  /// posix_fadvise(WILLNEED); MemPager ignores it). Bulk-loaded leaf
-  /// chains are contiguous on disk, so a span starting at the next
-  /// sibling covers the scan's near future. 0 disables readahead
-  /// entirely (Prefetch becomes a no-op).
-  size_t readahead_pages = 8;
-
-  /// Worker threads for asynchronous frame prefetch. 0 (default) keeps
-  /// Prefetch hint-only: the kernel may read ahead, but no frame is
-  /// populated until a demand Fetch. > 0 additionally loads the hinted
-  /// page into its shard on a pool-owned thread, so the demand fetch
-  /// finds it resident (counted in prefetch_hits). Async prefetch
-  /// consumes frames and may evict, so it is opt-in.
-  size_t prefetch_threads = 0;
 };
 
 /// Sharded buffer pool over a Pager, with clock (second-chance)
-/// replacement per shard. Pages map to shards by id; each shard owns a
+/// replacement per shard. Pages load on demand only: a Fetch is the one
+/// way a page enters a frame, so every physical read is some caller's
+/// demand fetch. Pages map to shards by id; each shard owns a
 /// fixed set of frames, its own page table, replacer, and latch, so
 /// fetches of pages in different shards never contend. Counts logical
 /// fetches, cache hits, and physical transfers cumulatively in
@@ -156,27 +141,20 @@ class BufferPool {
 
   /// Fetches (pinning) an existing page. A non-null `tally` receives
   /// every event this fetch counts in the shard's IoStats — the logical
-  /// read, the hit or the physical read, a prefetch hit, the claimed
-  /// slot's eviction and write-back, a checksum failure — so a query
-  /// reads its exact page counts from its own tally while other queries
-  /// share the pool. A timed tally also sums this call's wall time.
+  /// read, the hit or the physical read, the claimed slot's eviction
+  /// and write-back, a checksum failure — so a query reads its exact
+  /// page counts from its own tally while other queries share the pool.
+  /// A timed tally also sums this call's wall time.
   Result<PageRef> Fetch(PageId id, IoTally* tally = nullptr);
 
   /// Allocates a new page in the pager and returns it pinned and dirty.
   Result<PageRef> New();
 
-  /// Readahead hint: pages [id, id+readahead_pages) are likely to be
-  /// fetched soon. Forwards to Pager::WillNeed and, when async prefetch
-  /// is configured, schedules a background load of `id` into its shard.
-  /// Advisory: never fails, never pins, never counts a logical read —
-  /// the paper's page-access figures see only demand fetches.
-  void Prefetch(PageId id);
-
   /// Writes back all dirty frames (pages stay cached).
   Status FlushAll();
 
-  /// Drains in-flight prefetches, then drops every unpinned frame after
-  /// flushing it; simulates a cold cache for benchmark repeatability.
+  /// Drops every unpinned frame after flushing it; simulates a cold
+  /// cache for benchmark repeatability.
   Status EvictAll();
 
   /// Cumulative counters, folded across the shards (plus the external
@@ -233,12 +211,9 @@ class BufferPool {
     std::vector<uint8_t> data;
     int pin_count = 0;
     bool dirty = false;
-    /// A demand load or async prefetch is filling `data`; the filling
-    /// thread owns the bytes, everyone else parks on the shard condvar.
+    /// A fetch is filling `data`; the filling thread owns the bytes,
+    /// everyone else parks on the shard condvar.
     bool loading = false;
-    /// Loaded by async prefetch and not yet demanded; the first demand
-    /// fetch clears it and counts a prefetch hit.
-    bool prefetched = false;
   };
 
   /// Cached per-shard registry counters (buffer_pool.shard.<i>.*).
@@ -248,8 +223,6 @@ class BufferPool {
     metrics::Counter* fetches = nullptr;
     metrics::Counter* hits = nullptr;
     metrics::Counter* evictions = nullptr;
-    metrics::Counter* prefetch_issued = nullptr;
-    metrics::Counter* prefetch_hits = nullptr;
   };
 
   /// One independently latched sub-pool. The latch guards the
@@ -295,19 +268,12 @@ class BufferPool {
   /// `tally` when non-null.
   Result<size_t> ClaimSlot(Shard& s, IoTally* tally) VITRI_EXCLUDES(s.latch);
 
-  /// Loads page `id` into `s` via a claimed slot. With `demand`, the
-  /// frame stays pinned once and the Result carries its data pointer;
-  /// errors (including a failed integrity check, which quarantines the
-  /// page) propagate. Without, the frame lands unpinned+prefetched and
-  /// errors only update counters — prefetch is best-effort. `tally`
-  /// (demand loads only; may be null) receives the events counted here.
-  Result<uint8_t*> LoadPage(Shard& s, PageId id, bool demand, IoTally* tally)
+  /// Pins page `id` in `s`, reading it into a claimed slot on a miss,
+  /// and returns its data pointer. Errors (including a failed integrity
+  /// check, which quarantines the page) propagate. `tally` (may be
+  /// null) receives the events counted here.
+  Result<uint8_t*> LoadPage(Shard& s, PageId id, IoTally* tally)
       VITRI_EXCLUDES(s.latch);
-
-  /// Background half of Prefetch(): loads `id` if still absent.
-  void PrefetchLoad(PageId id);
-  /// Blocks until no async prefetch is queued or running.
-  void DrainPrefetches();
 
   Status WriteBackLocked(Shard& s, Frame& frame) VITRI_REQUIRES(s.latch);
   Status ValidateShardLocked(const Shard& s) const VITRI_REQUIRES(s.latch);
@@ -320,11 +286,6 @@ class BufferPool {
   /// neither movable nor copyable).
   std::vector<std::unique_ptr<Shard>> shards_;
   IoStats external_stats_;
-
-  std::unique_ptr<ThreadPool> prefetch_pool_;
-  Mutex prefetch_mu_;
-  CondVar prefetch_cv_;
-  size_t prefetch_outstanding_ VITRI_GUARDED_BY(prefetch_mu_) = 0;
 };
 
 }  // namespace vitri::storage

@@ -178,11 +178,4 @@ Status FaultInjectingPager::Sync() {
   return base_->Sync();
 }
 
-void FaultInjectingPager::WillNeed(PageId first, size_t count) {
-  // Readahead never faults: it moves no data the checksum layer could
-  // vouch for, and the demand Read that follows is where the schedule
-  // expects its matches.
-  base_->WillNeed(first, count);
-}
-
 }  // namespace vitri::storage

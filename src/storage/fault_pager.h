@@ -74,8 +74,7 @@ struct FaultStats {
 /// Decorator injecting a deterministic, seeded schedule of storage
 /// faults into any Pager. Rules can be added/cleared at any time, so a
 /// test can build a healthy index first and sabotage it afterwards.
-/// Allocate and WillNeed are always passed through unharmed (readahead
-/// is advisory — the demand Read is where a fault must land to count).
+/// Allocate is always passed through unharmed.
 ///
 /// The rule/rng/stats bookkeeping sits under an internal latch so the
 /// sharded buffer pool's concurrent I/O keeps schedules deterministic
@@ -100,7 +99,6 @@ class FaultInjectingPager final : public Pager {
   Status Read(PageId id, uint8_t* out) override;
   Status Write(PageId id, const uint8_t* src) override;
   Status Sync() override;
-  void WillNeed(PageId first, size_t count) override;
 
  private:
   struct ArmedRule {

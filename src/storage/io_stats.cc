@@ -6,16 +6,18 @@ namespace vitri::storage {
 
 IoSnapshot IoStats::Snapshot() const {
   IoSnapshot s;
+  // Hits before fetches, the hits load acquiring: BufferPool::Fetch
+  // counts a fetch before its hit, so every hit read here brings its
+  // fetch with it and a snapshot never shows more hits than fetches,
+  // however long the reader stalls between the two loads.
+  s.cache_hits = cache_hits.load(std::memory_order_acquire);
   s.logical_reads = logical_reads.load(std::memory_order_relaxed);
-  s.cache_hits = cache_hits.load(std::memory_order_relaxed);
   s.physical_reads = physical_reads.load(std::memory_order_relaxed);
   s.physical_writes = physical_writes.load(std::memory_order_relaxed);
   s.allocations = allocations.load(std::memory_order_relaxed);
   s.checksum_failures = checksum_failures.load(std::memory_order_relaxed);
   s.retries = retries.load(std::memory_order_relaxed);
   s.evictions = evictions.load(std::memory_order_relaxed);
-  s.prefetch_issued = prefetch_issued.load(std::memory_order_relaxed);
-  s.prefetch_hits = prefetch_hits.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -29,8 +31,6 @@ IoStats& IoStats::operator=(const IoSnapshot& values) {
                           std::memory_order_relaxed);
   retries.store(values.retries, std::memory_order_relaxed);
   evictions.store(values.evictions, std::memory_order_relaxed);
-  prefetch_issued.store(values.prefetch_issued, std::memory_order_relaxed);
-  prefetch_hits.store(values.prefetch_hits, std::memory_order_relaxed);
   return *this;
 }
 
@@ -45,9 +45,7 @@ std::string CountersToString(const IoSnapshot& s) {
      << " allocations=" << s.allocations
      << " checksum_failures=" << s.checksum_failures
      << " retries=" << s.retries
-     << " evictions=" << s.evictions
-     << " prefetch_issued=" << s.prefetch_issued
-     << " prefetch_hits=" << s.prefetch_hits;
+     << " evictions=" << s.evictions;
   return os.str();
 }
 

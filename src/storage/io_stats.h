@@ -20,7 +20,10 @@ struct IoSnapshot {
   uint64_t checksum_failures = 0;
   uint64_t retries = 0;
   uint64_t evictions = 0;
-  uint64_t prefetch_issued = 0;
+  /// Always 0: the pool loads pages on demand only, so no fetch is ever
+  /// served by a page loaded ahead of it. Kept, uncounted and outside
+  /// the arithmetic below, because perfbench still reads it for
+  /// pool.prefetch_hit_ratio; the next benchmark change drops both.
   uint64_t prefetch_hits = 0;
 
   /// Field-wise sum: how a sharded pool's per-shard snapshots fold into
@@ -35,8 +38,6 @@ struct IoSnapshot {
     out.checksum_failures = checksum_failures + rhs.checksum_failures;
     out.retries = retries + rhs.retries;
     out.evictions = evictions + rhs.evictions;
-    out.prefetch_issued = prefetch_issued + rhs.prefetch_issued;
-    out.prefetch_hits = prefetch_hits + rhs.prefetch_hits;
     return out;
   }
 
@@ -50,8 +51,6 @@ struct IoSnapshot {
     out.checksum_failures = checksum_failures - rhs.checksum_failures;
     out.retries = retries - rhs.retries;
     out.evictions = evictions - rhs.evictions;
-    out.prefetch_issued = prefetch_issued - rhs.prefetch_issued;
-    out.prefetch_hits = prefetch_hits - rhs.prefetch_hits;
     return out;
   }
   bool operator==(const IoSnapshot&) const = default;
@@ -68,9 +67,9 @@ struct IoSnapshot {
 /// nothing differences these counters to attribute I/O to a request.
 /// Every counter is an atomic, so increments from concurrent queries
 /// (BatchKnn fan-out, parallel ingest) never race. Copying an IoStats
-/// reads each counter with relaxed ordering — the copy is a per-field
-/// snapshot, not a globally consistent one, which is all reporting
-/// needs.
+/// reads each counter once — the copy is a per-field snapshot, not a
+/// globally consistent one, which is all reporting needs — except that
+/// it never shows more cache hits than logical reads (see Snapshot()).
 struct IoStats {
   std::atomic<uint64_t> logical_reads{0};   // Buffer-pool fetches.
   std::atomic<uint64_t> cache_hits{0};      // Served without pager I/O.
@@ -81,9 +80,6 @@ struct IoStats {
   std::atomic<uint64_t> retries{0};  // Transient-IoError retries (see
                                      // storage/retry_pager.h).
   std::atomic<uint64_t> evictions{0};  // Frames recycled by the replacer.
-  std::atomic<uint64_t> prefetch_issued{0};  // Readahead hints acted on.
-  std::atomic<uint64_t> prefetch_hits{0};  // Fetches served by a frame a
-                                           // prefetch loaded.
 
   IoStats() = default;
   /// Live counters holding a snapshot's values (how the pool hands out

@@ -4,7 +4,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -164,15 +163,5 @@ Status FilePager::Write(PageId id, const uint8_t* src) {
 }
 
 Status FilePager::Sync() { return SyncFd(fd_, sync_mode_); }
-
-void FilePager::WillNeed(PageId first, size_t count) {
-  const PageId pages = num_pages_.load(std::memory_order_acquire);
-  if (first >= pages || count == 0) return;
-  const size_t usable =
-      std::min<size_t>(count, static_cast<size_t>(pages - first));
-  const off_t offset =
-      static_cast<off_t>(first) * static_cast<off_t>(page_size());
-  AdviseWillNeed(fd_, offset, usable * page_size());
-}
 
 }  // namespace vitri::storage

@@ -21,7 +21,7 @@ namespace vitri::storage {
 ///
 /// Thread-safety contract (since the buffer pool was sharded and its
 /// I/O moved outside the shard latches, DESIGN.md §16): implementations
-/// must tolerate concurrent Read/Write/WillNeed calls on *distinct*
+/// must tolerate concurrent Read/Write calls on *distinct*
 /// pages, plus concurrent Allocate/num_pages/Sync from any thread.
 /// Concurrent Read/Write of the *same* page is excluded by the caller —
 /// the pool's per-frame load/evict states serialize per-page I/O.
@@ -49,17 +49,6 @@ class Pager {
 
   /// Flushes buffered writes to the backing medium.
   virtual Status Sync() = 0;
-
-  /// Advisory readahead hint: the caller expects to Read pages
-  /// [first, first+count) soon (leaf-chain scans hint their upcoming
-  /// siblings; bulk-loaded chains are contiguous on disk, so a span is
-  /// the right shape). Never fails and never transfers data — the
-  /// default is a no-op, FilePager forwards to posix_fadvise(WILLNEED),
-  /// and decorators pass it through to their base unfaulted.
-  virtual void WillNeed(PageId first, size_t count) {
-    (void)first;
-    (void)count;
-  }
 
  protected:
   explicit Pager(size_t page_size) : page_size_(page_size) {}
@@ -128,7 +117,6 @@ class FilePager final : public Pager {
   Status Read(PageId id, uint8_t* out) override;
   Status Write(PageId id, const uint8_t* src) override;
   Status Sync() override;
-  void WillNeed(PageId first, size_t count) override;
 
   FileSyncMode sync_mode() const { return sync_mode_; }
 

@@ -88,19 +88,6 @@ Status SyncDir(const std::string& path) {
   return Status::OK();
 }
 
-void AdviseWillNeed(int fd, off_t offset, size_t len) {
-#if defined(POSIX_FADV_WILLNEED)
-  // Advisory by contract: ESPIPE/EBADF/ENOSYS all mean "no readahead",
-  // which the demand read absorbs.
-  (void)::posix_fadvise(fd, offset, static_cast<off_t>(len),
-                        POSIX_FADV_WILLNEED);
-#else
-  (void)fd;
-  (void)offset;
-  (void)len;
-#endif
-}
-
 std::string ParentDir(const std::string& path) {
   const size_t slash = path.find_last_of('/');
   if (slash == std::string::npos) return ".";

@@ -39,13 +39,6 @@ Status SyncFd(int fd, FileSyncMode mode);
 /// durable — syncing the file makes its bytes safe, not its dirent.
 Status SyncDir(const std::string& path);
 
-/// Advises the kernel that [offset, offset+len) of `fd` will be read
-/// soon (posix_fadvise POSIX_FADV_WILLNEED), so readahead can start
-/// before the pread arrives. Purely advisory: failures are swallowed
-/// and platforms without posix_fadvise compile this to a no-op — a hint
-/// that goes unheard costs correctness nothing.
-void AdviseWillNeed(int fd, off_t offset, size_t len);
-
 /// Directory component of `path` ("." when there is no slash). Helper
 /// for the sync-file-then-sync-parent-dir dance.
 std::string ParentDir(const std::string& path);

@@ -55,9 +55,4 @@ Status RetryingPager::Sync() {
   return RunWithRetries([&] { return base_->Sync(); });
 }
 
-void RetryingPager::WillNeed(PageId first, size_t count) {
-  // No retry budget for a hint that cannot fail.
-  base_->WillNeed(first, count);
-}
-
 }  // namespace vitri::storage

@@ -59,7 +59,6 @@ class RetryingPager final : public Pager {
   Status Read(PageId id, uint8_t* out) override;
   Status Write(PageId id, const uint8_t* src) override;
   Status Sync() override;
-  void WillNeed(PageId first, size_t count) override;
 
  private:
   Status RunWithRetries(const std::function<Status()>& op);

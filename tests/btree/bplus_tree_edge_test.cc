@@ -1,7 +1,6 @@
 // Edge cases of the B+-tree that the main unit and differential tests
 // do not isolate: special float keys, empty bulk loads, reopen with the
-// wrong pager, interleavings around the free list, and scan boundaries
-// exactly on separators.
+// wrong pager, and scan boundaries exactly on separators.
 
 #include <gtest/gtest.h>
 
@@ -104,35 +103,6 @@ TEST(BPlusTreeEdgeTest, ScanBoundsExactlyOnSeparators) {
       EXPECT_EQ(count, hi - lo + 1) << lo << ".." << hi;
     }
   }
-}
-
-TEST(BPlusTreeEdgeTest, AlternatingInsertDeleteChurn) {
-  Fixture fx;
-  auto tree = BPlusTree::Create(&fx.pool, kValueSize);
-  ASSERT_TRUE(tree.ok());
-  // Repeatedly grow to 200 and shrink to 50, exercising the free list
-  // and merge paths in both directions.
-  uint64_t rid = 0;
-  std::vector<std::pair<double, uint64_t>> live;
-  for (int cycle = 0; cycle < 5; ++cycle) {
-    while (live.size() < 200) {
-      const double key = static_cast<double>((rid * 2654435761u) % 1000);
-      ASSERT_TRUE(tree->Insert(key, rid, Value(1)).ok());
-      live.emplace_back(key, rid);
-      ++rid;
-    }
-    while (live.size() > 50) {
-      auto [key, id] = live.back();
-      live.pop_back();
-      auto deleted = tree->Delete(key, id);
-      ASSERT_TRUE(deleted.ok());
-      ASSERT_TRUE(*deleted);
-    }
-    ASSERT_TRUE(tree->ValidateInvariants().ok()) << "cycle " << cycle;
-    EXPECT_EQ(tree->num_entries(), live.size());
-  }
-  // Page count must stay bounded (free list reuse), not grow per cycle.
-  EXPECT_LT(fx.pager.num_pages(), 300u);
 }
 
 TEST(BPlusTreeEdgeTest, LookupOnEveryTreeHeight) {

@@ -29,7 +29,6 @@ using storage::PageId;
 // Mirrors of the on-page layout in bplus_tree.cc (the tests must forge
 // pages without the tree's help).
 constexpr uint8_t kLeafType = 1;
-constexpr uint8_t kFreeType = 3;
 constexpr size_t kNodeType = 0;
 constexpr size_t kNodeCount = 2;
 constexpr size_t kLeafNext = 4;
@@ -37,6 +36,7 @@ constexpr size_t kLeafPrev = 8;
 constexpr size_t kLeafHeader = 12;
 constexpr size_t kMetaMagic = 0;
 constexpr size_t kMetaNumEntries = 24;
+constexpr size_t kMetaFreeSlot = 32;
 
 class BPlusTreeInvariantsTest : public ::testing::Test {
  protected:
@@ -117,9 +117,13 @@ TEST_F(BPlusTreeInvariantsTest, HealthyTreeValidatesAfterMutations) {
   std::vector<uint8_t> value(kValueSize, 0xAB);
   ASSERT_TRUE(tree_->Insert(1000.5, 1000, value).ok());
   EXPECT_TRUE(tree_->ValidateInvariants().ok());
-  auto deleted = tree_->Delete(17.0, 17);
-  ASSERT_TRUE(deleted.ok());
-  EXPECT_TRUE(*deleted);
+  // Enough inserts into one packed leaf to split it: the new pages
+  // must be reachable, or the page accounting fails.
+  const PageId pages_before = pager_->num_pages();
+  for (uint64_t i = 0; i < 40; ++i) {
+    ASSERT_TRUE(tree_->Insert(100.5, 2000 + i, value).ok());
+  }
+  ASSERT_GT(pager_->num_pages(), pages_before);
   EXPECT_TRUE(tree_->ValidateInvariants().ok());
   // With everything flushed, the full checksum sweep must also pass.
   ASSERT_TRUE(pool_->FlushAll().ok());
@@ -190,6 +194,13 @@ TEST_F(BPlusTreeInvariantsTest, CatchesMetaDisagreement) {
     EncodeU64(p + kMetaNumEntries, 999999);
   });
   ExpectViolation("meta page disagrees");
+  // The tree never frees a page, so a meta page naming a free one
+  // disagrees with it too.
+  MutatePage(0, [&](uint8_t* p) {
+    EncodeU64(p + kMetaNumEntries, tree_->num_entries());
+    EncodeU32(p + kMetaFreeSlot, 1);
+  });
+  ExpectViolation("meta page disagrees");
 }
 
 TEST_F(BPlusTreeInvariantsTest, CatchesMetaMagicCorruption) {
@@ -199,21 +210,11 @@ TEST_F(BPlusTreeInvariantsTest, CatchesMetaMagicCorruption) {
   ExpectViolation("magic/version mismatch");
 }
 
-TEST_F(BPlusTreeInvariantsTest, CatchesFreeListCorruption) {
-  // Deleting most entries collapses leaves, putting pages on the free
-  // list; un-marking one must fail the free-list walk.
-  for (uint64_t i = 0; i < 150; ++i) {
-    auto deleted = tree_->Delete(static_cast<double>(i), i);
-    ASSERT_TRUE(deleted.ok());
-    ASSERT_TRUE(*deleted);
-  }
-  ASSERT_TRUE(tree_->ValidateInvariants().ok());
-  const std::vector<PageId> free_pages = PagesOfType(kFreeType);
-  ASSERT_FALSE(free_pages.empty());
-  MutatePage(free_pages.front(), [](uint8_t* p) {
-    p[kNodeType] = kLeafType;
-  });
-  ExpectViolation("is not marked free");
+TEST_F(BPlusTreeInvariantsTest, CatchesPageOutsideTheTree) {
+  // Every pager page is the meta page or a reachable node; a page the
+  // tree cannot reach breaks the exact accounting.
+  ASSERT_TRUE(pool_->New().ok());
+  ExpectViolation("page accounting mismatch");
 }
 
 TEST(BPlusTreeBitFlipTest, ChecksumSurfacesFlippedBitAsCorruption) {

@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/coding.h"
 #include "common/random.h"
 #include "storage/buffer_pool.h"
 #include "storage/pager.h"
@@ -280,88 +281,6 @@ TEST(BPlusTreeTest, DuplicateRawKeysAllScanned) {
   }
 }
 
-TEST(BPlusTreeTest, DeleteSingleEntry) {
-  TreeFixture fx;
-  auto tree = fx.Create();
-  ASSERT_TRUE(tree.ok());
-  ASSERT_TRUE(tree->Insert(1.0, 1, MakeValue(1)).ok());
-  auto deleted = tree->Delete(1.0, 1);
-  ASSERT_TRUE(deleted.ok());
-  EXPECT_TRUE(*deleted);
-  EXPECT_EQ(tree->num_entries(), 0u);
-  auto found = tree->Lookup(1.0, 1, nullptr);
-  ASSERT_TRUE(found.ok());
-  EXPECT_FALSE(*found);
-}
-
-TEST(BPlusTreeTest, DeleteMissingReturnsFalse) {
-  TreeFixture fx;
-  auto tree = fx.Create();
-  ASSERT_TRUE(tree.ok());
-  ASSERT_TRUE(tree->Insert(1.0, 1, MakeValue(1)).ok());
-  auto deleted = tree->Delete(2.0, 2);
-  ASSERT_TRUE(deleted.ok());
-  EXPECT_FALSE(*deleted);
-  EXPECT_EQ(tree->num_entries(), 1u);
-}
-
-TEST(BPlusTreeTest, DeleteEverythingShrinksTree) {
-  TreeFixture fx;
-  auto tree = fx.Create();
-  ASSERT_TRUE(tree.ok());
-  constexpr int kN = 600;
-  for (int i = 0; i < kN; ++i) {
-    ASSERT_TRUE(tree->Insert(i, i, MakeValue(i)).ok());
-  }
-  EXPECT_GT(tree->height(), 1u);
-  for (int i = 0; i < kN; ++i) {
-    auto deleted = tree->Delete(i, i);
-    ASSERT_TRUE(deleted.ok());
-    ASSERT_TRUE(*deleted) << i;
-    if (i % 50 == 0) {
-      ASSERT_TRUE(tree->ValidateInvariants().ok()) << "after delete " << i;
-    }
-  }
-  EXPECT_EQ(tree->num_entries(), 0u);
-  EXPECT_EQ(tree->height(), 1u);
-  ASSERT_TRUE(tree->ValidateInvariants().ok());
-}
-
-TEST(BPlusTreeTest, DeleteInReverseOrder) {
-  TreeFixture fx;
-  auto tree = fx.Create();
-  ASSERT_TRUE(tree.ok());
-  constexpr int kN = 400;
-  for (int i = 0; i < kN; ++i) {
-    ASSERT_TRUE(tree->Insert(i, i, MakeValue(i)).ok());
-  }
-  for (int i = kN - 1; i >= 0; --i) {
-    auto deleted = tree->Delete(i, i);
-    ASSERT_TRUE(deleted.ok() && *deleted) << i;
-  }
-  ASSERT_TRUE(tree->ValidateInvariants().ok());
-  EXPECT_EQ(tree->num_entries(), 0u);
-}
-
-TEST(BPlusTreeTest, FreedPagesAreRecycled) {
-  TreeFixture fx;
-  auto tree = fx.Create();
-  ASSERT_TRUE(tree.ok());
-  for (int i = 0; i < 500; ++i) {
-    ASSERT_TRUE(tree->Insert(i, i, MakeValue(i)).ok());
-  }
-  for (int i = 0; i < 500; ++i) {
-    ASSERT_TRUE(tree->Delete(i, i).ok());
-  }
-  const storage::PageId pages_after_churn = fx.pager.num_pages();
-  // Re-inserting the same data must reuse freed pages, not double the file.
-  for (int i = 0; i < 500; ++i) {
-    ASSERT_TRUE(tree->Insert(i, i, MakeValue(i)).ok());
-  }
-  EXPECT_LE(fx.pager.num_pages(), pages_after_churn + 2);
-  ASSERT_TRUE(tree->ValidateInvariants().ok());
-}
-
 TEST(BPlusTreeTest, BulkLoadMatchesScan) {
   TreeFixture fx;
   auto tree = fx.Create();
@@ -425,13 +344,6 @@ TEST(BPlusTreeTest, BulkLoadThenInsertAndDelete) {
   }
   ASSERT_TRUE(tree->ValidateInvariants().ok());
   EXPECT_EQ(tree->num_entries(), 600u);
-  // Delete the originals.
-  for (int i = 0; i < 300; ++i) {
-    auto deleted = tree->Delete(2 * i, i);
-    ASSERT_TRUE(deleted.ok() && *deleted) << i;
-  }
-  ASSERT_TRUE(tree->ValidateInvariants().ok());
-  EXPECT_EQ(tree->num_entries(), 300u);
 }
 
 TEST(BPlusTreeTest, PersistsAcrossReopenWithFilePager) {
@@ -474,6 +386,26 @@ TEST(BPlusTreeTest, OpenRejectsGarbage) {
   auto tree = BPlusTree::Open(&pool);
   EXPECT_FALSE(tree.ok());
   EXPECT_TRUE(tree.status().IsCorruption());
+}
+
+TEST(BPlusTreeTest, OpenRejectsAMetaPageNamingAFreePage) {
+  // The tree never frees a page, so its meta page's free-list slot
+  // (byte 32) must hold kInvalidPageId.
+  TreeFixture fx;
+  {
+    auto tree = fx.Create();
+    ASSERT_TRUE(tree.ok());
+    ASSERT_TRUE(tree->Insert(1.0, 1, MakeValue(1)).ok());
+  }
+  {
+    auto meta = fx.pool.Fetch(0);
+    ASSERT_TRUE(meta.ok());
+    EncodeU32(meta->mutable_data() + 32, 1);
+    meta->MarkDirty();
+  }
+  auto tree = BPlusTree::Open(&fx.pool);
+  ASSERT_FALSE(tree.ok());
+  EXPECT_TRUE(tree.status().IsCorruption()) << tree.status().ToString();
 }
 
 TEST(BPlusTreeTest, WorksWithTinyBufferPool) {

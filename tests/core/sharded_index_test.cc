@@ -485,6 +485,11 @@ TEST(ShardedIndexTest, ResolveIndexShardsFlagBeatsEnvBeatsOne) {
 
   ::setenv("VITRI_INDEX_SHARDS", "bogus", 1);
   EXPECT_EQ(ResolveIndexShards(0), 1u);
+  // A sign is malformed too: "-1" must not wrap to the maximum.
+  ::setenv("VITRI_INDEX_SHARDS", "-1", 1);
+  EXPECT_EQ(ResolveIndexShards(0), 1u);
+  ::setenv("VITRI_INDEX_SHARDS", "0", 1);
+  EXPECT_EQ(ResolveIndexShards(0), 1u);
   ::setenv("VITRI_INDEX_SHARDS", "999999", 1);
   EXPECT_EQ(ResolveIndexShards(0), kMaxIndexShards);
 
@@ -681,10 +686,12 @@ TEST(ShardedIndexValidateTest, DetectsNonFiniteShardReferencePoint) {
   options.shard_options.transform_factory =
       [&](const std::vector<linalg::Vec>&)
       -> Result<OneDimensionalTransform> {
-    linalg::Vec reference(static_cast<size_t>(w.db.dimension),
-                          std::numeric_limits<double>::infinity());
-    return OneDimensionalTransform::WithReferencePoint(
-        std::move(reference), ReferencePointKind::kOptimal);
+    // The data center of one all-infinite point is that point.
+    const std::vector<linalg::Vec> points = {
+        linalg::Vec(static_cast<size_t>(w.db.dimension),
+                    std::numeric_limits<double>::infinity())};
+    return OneDimensionalTransform::Fit(points,
+                                        ReferencePointKind::kDataCenter);
   };
   auto index = ShardedViTriIndex::Build(w.set, options);
   ASSERT_TRUE(index.ok());

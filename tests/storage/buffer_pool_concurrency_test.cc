@@ -4,8 +4,7 @@
 // eviction, write-back, and re-fetch while pins race with the clock
 // replacer. The PoolShard suites force multi-shard pools (explicit
 // counts, immune to the VITRI_POOL_SHARDS override) so cross-shard
-// traffic, async prefetch, and the shard-folded stats reads all run
-// under the race detector.
+// traffic and the shard-folded stats reads run under the race detector.
 
 #include <atomic>
 #include <cstdint>
@@ -254,43 +253,6 @@ TEST(PoolShardConcurrencyTest, CrossShardReadersAndWritersUnderEviction) {
   EXPECT_EQ(counted, expected);
 }
 
-TEST(PoolShardConcurrencyTest, AsyncPrefetchRacesDemandFetches) {
-  constexpr size_t kPages = 48;
-  MemPager pager(kPageSize);
-  BufferPoolOptions options;
-  options.shards = 4;
-  options.prefetch_threads = 2;
-  options.readahead_pages = 4;
-  BufferPool pool(&pager, 16, options);
-  SeedPages(&pool, kPages);
-
-  std::vector<std::thread> threads;
-  for (int r = 0; r < 4; ++r) {
-    threads.emplace_back([&pool, r] {
-      Rng rng(7000 + static_cast<uint64_t>(r));
-      for (int i = 0; i < 300; ++i) {
-        const PageId id = static_cast<PageId>(rng.Index(kPages));
-        // Hint the sibling like a leaf-chain scan would, then demand
-        // the page itself: prefetch loads race demand loads, evictions,
-        // and each other across all four shards.
-        pool.Prefetch((id + 1) % kPages);
-        auto page = pool.Fetch(id);
-        if (!page.ok()) {
-          ASSERT_TRUE(page.status().IsResourceExhausted())
-              << page.status().ToString();
-          std::this_thread::yield();
-          continue;
-        }
-        EXPECT_EQ(DecodeU64(page->data()), id);
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  ASSERT_TRUE(pool.EvictAll().ok());  // Also drains in-flight prefetches.
-  EXPECT_TRUE(pool.ValidateInvariants().ok());
-  EXPECT_LE(pool.stats().cache_hits, pool.stats().logical_reads);
-}
-
 // Satellite regression: stats() folds per-shard atomics into plain
 // integers, so a reader polling totals while fetchers run must never
 // observe a torn or impossible combination (hits > fetches), and the
@@ -308,7 +270,6 @@ TEST(PoolShardConcurrencyTest, StatsFoldNeverTearsUnderConcurrentFetches) {
     while (!stop.load(std::memory_order_acquire)) {
       const IoSnapshot s = pool.StatsSnapshot();
       EXPECT_LE(s.cache_hits, s.logical_reads);
-      EXPECT_LE(s.prefetch_hits, s.cache_hits);
       const IoStats folded = pool.stats();
       EXPECT_LE(folded.cache_hits, folded.logical_reads);
     }

@@ -6,6 +6,7 @@
 // unix socket. Asserts the stats JSON parses and carries the documented
 // shape: server block, wal.* counters, query latency histograms.
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -48,6 +49,28 @@ TEST(VitridSmokeTest, HelpDocumentsEverySubcommand) {
   for (const char* token : {"serve", "ping", "stats", "shutdown",
                             "--socket", "Overloaded", "deadline"}) {
     EXPECT_NE(out.find(token), std::string::npos) << token << "\n" << out;
+  }
+}
+
+TEST(VitridSmokeTest, ServeRejectsNegativeCounts) {
+  // Each of these is cast to size_t: --workers -1 used to reserve
+  // SIZE_MAX workers and abort, --queue -1 to switch admission control
+  // off. serve must refuse them (exit 2) before building the index. The
+  // socket's directory does not exist, so a serve that got further
+  // fails to bind instead of running.
+  for (const char* flag :
+       {"--workers", "--queue", "--knn-threads", "--trace-every"}) {
+    int rc = -1;
+    const std::string out = RunAndCapture(
+        std::string(VITRID_PATH) +
+            " serve --synthetic --socket /nonexistent/vitrid.sock " + flag +
+            " -1 2>&1",
+        &rc);
+    ASSERT_TRUE(WIFEXITED(rc)) << flag << "\n" << out;
+    EXPECT_EQ(WEXITSTATUS(rc), 2) << flag << "\n" << out;
+    EXPECT_NE(out.find(std::string(flag) + " must not be negative"),
+              std::string::npos)
+        << out;
   }
 }
 
@@ -140,9 +163,7 @@ TEST(VitridSmokeTest, StatsSubcommandReportsWalAndQueryMetrics) {
   // the shard count, shard 0 always exists).
   for (const char* name :
        {"buffer_pool.shard.0.fetches", "buffer_pool.shard.0.hits",
-        "buffer_pool.shard.0.evictions",
-        "buffer_pool.shard.0.prefetch_issued",
-        "buffer_pool.shard.0.prefetch_hits"}) {
+        "buffer_pool.shard.0.evictions"}) {
     EXPECT_NE(counters->Find(name), nullptr) << name << "\n" << out;
   }
   const json::JsonValue* shard_fetches =

@@ -7,8 +7,7 @@
 //   vitri query     --db db.vvdb --summary summary.vsnp --video ID
 //                   [--k 10] [--epsilon 0.15] [--method composed|naive]
 //                   [--threads N] [--trace] [--json]
-//                   [--pool-shards N] [--readahead PAGES]
-//                   [--prefetch-threads N] [--index-shards N]
+//                   [--pool-shards N] [--index-shards N]
 //   vitri verify    [--summary summary.vsnp] [--pages tree.vpag
 //                   [--page-size 4096]]
 //   vitri check     [--summary summary.vsnp [--epsilon E] [--deep]
@@ -302,10 +301,6 @@ int CmdQuery(const Args& args) {
   // auto; an explicit flag here wins over both).
   io.buffer_pool_options.shards =
       static_cast<size_t>(std::max(args.GetLong("--pool-shards", 0), 0L));
-  io.buffer_pool_options.readahead_pages =
-      static_cast<size_t>(std::max(args.GetLong("--readahead", 8), 0L));
-  io.buffer_pool_options.prefetch_threads = static_cast<size_t>(
-      std::max(args.GetLong("--prefetch-threads", 0), 0L));
 
   video::VideoSynthesizer synth;
   const video::VideoSequence query =
@@ -586,8 +581,7 @@ void Usage() {
                "  query     --db db.vvdb --summary s.vsnp --video ID\n"
                "            [--k K] [--epsilon E] [--method composed|naive]\n"
                "            [--threads N] [--trace] [--json]\n"
-               "            [--pool-shards N] [--readahead PAGES] "
-               "[--prefetch-threads N]\n"
+               "            [--pool-shards N]\n"
                "            [--index-shards N  scatter-gather across N "
                "index shards]\n"
                "  verify    [--summary s.vsnp] [--pages tree.vpag "

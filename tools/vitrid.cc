@@ -89,8 +89,7 @@ void Usage() {
       "                  [--workers N] [--knn-threads N]\n"
       "                  [--trace-every N] [--exercise]\n"
       "                  [--no-checkpoint] [--index-shards N]\n"
-      "                  [--pool-shards N] [--readahead PAGES]\n"
-      "                  [--prefetch-threads N]\n"
+      "                  [--pool-shards N]\n"
       "  vitrid ping     (--socket PATH | --host IP --port N)\n"
       "  vitrid stats    (--socket PATH | --host IP --port N)\n"
       "  vitrid shutdown (--socket PATH | --host IP --port N)\n"
@@ -125,10 +124,6 @@ storage::BufferPoolOptions PoolOptionsFromFlags(const Args& args) {
   storage::BufferPoolOptions pool;
   pool.shards =
       static_cast<size_t>(std::max(args.GetLong("--pool-shards", 0), 0L));
-  pool.readahead_pages =
-      static_cast<size_t>(std::max(args.GetLong("--readahead", 8), 0L));
-  pool.prefetch_threads = static_cast<size_t>(
-      std::max(args.GetLong("--prefetch-threads", 0), 0L));
   return pool;
 }
 
@@ -237,6 +232,15 @@ int CmdServe(const Args& args) {
   if ((socket_path == nullptr) == (port < 0)) {
     std::fprintf(stderr, "serve: exactly one of --socket/--port required\n");
     return 2;
+  }
+  // ServerOptionsFromFlags casts these to size_t: -1 would reserve
+  // SIZE_MAX workers (an abort) or switch admission control off.
+  for (const char* flag :
+       {"--queue", "--workers", "--knn-threads", "--trace-every"}) {
+    if (args.GetLong(flag, 0) < 0) {
+      std::fprintf(stderr, "serve: %s must not be negative\n", flag);
+      return 2;
+    }
   }
   const char* summary = args.Get("--summary", nullptr);
   const char* dir = args.Get("--dir", nullptr);
