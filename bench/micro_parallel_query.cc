@@ -181,7 +181,6 @@ int main() {
       storage::MemPager pager(256);
       storage::BufferPoolOptions po;
       po.shards = shard_config;
-      po.sync_on_flush = false;
       storage::BufferPool pool(&pager, kPoolCapacity, po);
       for (size_t i = 0; i < kPoolPages; ++i) {
         auto page = pool.New();

@@ -8,21 +8,46 @@
 //
 //   ./build/examples/dynamic_ingest
 //
-// The durable directory lives under /tmp and holds, per DESIGN.md §13:
+// The durable directory is a fresh temporary one, removed again on
+// exit, and holds, per DESIGN.md §13:
 //   CURRENT            the active checkpoint generation
 //   snapshot-<G>.vsnp  that generation's snapshot
 //   wal-<G>.vlog       inserts committed since the snapshot
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
+#include <system_error>
 
 #include "core/index.h"
 #include "core/vitri_builder.h"
 #include "video/synthesizer.h"
 
+namespace {
+
+/// Removes a directory tree when it goes out of scope, so every return
+/// path of main() cleans up after itself.
+struct RemoveOnExit {
+  std::string path;
+  ~RemoveOnExit() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path, ignored);
+  }
+};
+
+}  // namespace
+
 int main() {
   using namespace vitri;
+
+  // Declared before the indexes so it outlives them: the directory goes
+  // only after every index that writes into it is closed.
+  char dir_template[] = "/tmp/vitri_ingest_XXXXXX";
+  const char* tmp = ::mkdtemp(dir_template);
+  if (tmp == nullptr) return 1;
+  const RemoveOnExit cleanup{tmp};
+  const std::string dir = std::string(tmp) + "/index";
 
   video::VideoSynthesizer synth;
   video::VideoDatabase db = synth.GenerateDatabase(0.03);
@@ -56,10 +81,6 @@ int main() {
   // subsequent Insert() is committed to before it is applied. With
   // kGrouped sync the log is fsync'd every few commits; SyncWal() or
   // Checkpoint() force the tail durable.
-  char dir_template[] = "/tmp/vitri_ingest_XXXXXX";
-  const char* tmp = ::mkdtemp(dir_template);
-  if (tmp == nullptr) return 1;
-  const std::string dir = std::string(tmp) + "/index";
   core::DurabilityOptions durability;
   durability.wal.sync_mode = storage::WalSyncMode::kGrouped;
   if (!index->EnableDurability(dir, durability).ok()) return 1;

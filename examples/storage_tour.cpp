@@ -1,12 +1,12 @@
-// A tour of the storage substrate: a file-backed pager, an LRU buffer
-// pool with I/O accounting, and a persistent B+-tree storing serialized
-// ViTris that survives process restarts (simulated by closing and
-// reopening the file).
+// A tour of the storage substrate: an in-memory pager behind a counted
+// buffer pool, and the paged B+-tree storing serialized ViTris. The
+// tree is filled by inserts, the pool is emptied, and a range scan then
+// runs cold, so every page it touches is a miss the pool counts.
 //
-//   ./build/examples/storage_tour [path]
+//   ./build/examples/storage_tour
 
 #include <cstdio>
-#include <string>
+#include <vector>
 
 #include "btree/bplus_tree.h"
 #include "core/transform.h"
@@ -16,11 +16,8 @@
 #include "storage/pager.h"
 #include "video/synthesizer.h"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace vitri;
-  const std::string path =
-      argc > 1 ? argv[1] : "/tmp/vitri_storage_tour.db";
-  std::remove(path.c_str());
 
   // Summarize a few clips into ViTris and fit the 1-D transform.
   video::VideoSynthesizer synth;
@@ -38,55 +35,44 @@ int main(int argc, char** argv) {
       positions, core::ReferencePointKind::kOptimal);
   if (!transform.ok()) return 1;
 
-  const uint32_t value_size =
-      static_cast<uint32_t>(core::ViTri::SerializedSize(64));
+  // 4 KiB pages (the paper's setup) behind a 16-frame pool.
+  storage::MemPager pager(4096);
+  storage::BufferPool pool(&pager, 16);
+  auto tree = btree::BPlusTree::Create(
+      &pool, static_cast<uint32_t>(core::ViTri::SerializedSize(64)));
+  if (!tree.ok()) return 1;
 
-  // Phase 1: create the file, insert, flush.
-  {
-    auto pager = storage::FilePager::Open(path, 4096);
-    if (!pager.ok()) return 1;
-    storage::BufferPool pool(pager->get(), 64);
-    auto tree = btree::BPlusTree::Create(&pool, value_size);
-    if (!tree.ok()) return 1;
-    std::vector<uint8_t> value;
-    for (size_t i = 0; i < vitris.size(); ++i) {
-      vitris[i].Serialize(&value);
-      if (!tree->Insert(transform->Key(vitris[i].position), i, value)
-               .ok()) {
-        return 1;
-      }
+  // Phase 1: insert every ViTri under its transform key.
+  std::vector<uint8_t> value;
+  for (size_t i = 0; i < vitris.size(); ++i) {
+    vitris[i].Serialize(&value);
+    if (!tree->Insert(transform->Key(vitris[i].position), i, value).ok()) {
+      return 1;
     }
-    if (!pool.FlushAll().ok()) return 1;
-    std::printf("wrote %llu ViTris into %s (%u pages, tree height %u)\n",
-                static_cast<unsigned long long>(tree->num_entries()),
-                path.c_str(), (*pager)->num_pages(), tree->height());
-    std::printf("buffer pool i/o: %s\n", pool.stats().ToString().c_str());
   }
+  std::printf("inserted %llu ViTris (%u pages, tree height %u)\n",
+              static_cast<unsigned long long>(tree->num_entries()),
+              pager.num_pages(), tree->height());
+  std::printf("buffer pool i/o: %s\n", pool.stats().ToString().c_str());
 
-  // Phase 2: reopen and range-scan a key band, counting real I/O.
-  {
-    auto pager = storage::FilePager::Open(path, 4096);
-    if (!pager.ok()) return 1;
-    storage::BufferPool pool(pager->get(), 16);  // Small, cold cache.
-    auto tree = btree::BPlusTree::Open(&pool);
-    if (!tree.ok()) return 1;
-    std::printf("\nreopened: %llu entries survive restart\n",
-                static_cast<unsigned long long>(tree->num_entries()));
-
-    const double probe = transform->Key(vitris[5].position);
-    size_t hits = 0;
-    auto visited = tree->RangeScan(
-        probe - 0.05, probe + 0.05,
-        [&](double, uint64_t, std::span<const uint8_t> value) {
-          auto v = core::ViTri::Deserialize(value, 64);
-          if (v.ok()) ++hits;
-          return true;
-        });
-    if (!visited.ok()) return 1;
-    std::printf("range scan around key %.3f: %llu records, %zu decoded\n",
-                probe, static_cast<unsigned long long>(*visited), hits);
-    std::printf("buffer pool i/o: %s\n", pool.stats().ToString().c_str());
-  }
-  std::remove(path.c_str());
+  // Phase 2: write every dirty frame back and drop it, then range-scan
+  // a key band cold. The scan's own tally counts exactly its pages.
+  if (!pool.EvictAll().ok()) return 1;
+  const double probe = transform->Key(vitris[5].position);
+  size_t decoded = 0;
+  storage::IoTally tally;
+  auto visited = tree->RangeScan(
+      probe - 0.05, probe + 0.05,
+      [&](double, uint64_t, std::span<const uint8_t> bytes) {
+        if (core::ViTri::Deserialize(bytes, 64).ok()) ++decoded;
+        return true;
+      },
+      &tally);
+  if (!visited.ok()) return 1;
+  std::printf("\ncold range scan around key %.3f: %llu records, %zu "
+              "decoded\n",
+              probe, static_cast<unsigned long long>(*visited), decoded);
+  std::printf("scan i/o:        %s\n", tally.io.ToString().c_str());
+  std::printf("buffer pool i/o: %s\n", pool.stats().ToString().c_str());
   return 0;
 }

@@ -20,13 +20,8 @@ namespace {
 
 // ---- On-page layout ---------------------------------------------------
 //
-// Meta page (page 0):
-//   [0]  u32 magic 'VITR'     [4]  u32 version
-//   [8]  u32 value_size       [12] u32 root page
-//   [16] u32 height           [20] u32 first leaf
-//   [24] u64 num_entries      [32] u32 free-list slot
-//   The tree never frees a page, so the free-list slot (kept for the
-//   layout) always holds kInvalidPageId; Open rejects any other value.
+// Every page is a node; the last storage::kPageFooterSize bytes of each
+// are reserved for the pool's integrity footer.
 //
 // Interior node:
 //   [0] u8 type=2  [1] pad  [2] u16 count
@@ -39,21 +34,12 @@ namespace {
 //   [4] u32 next leaf  [8] u32 prev leaf
 //   [12] count * { f64 key, u64 rid, value_size bytes }
 
-constexpr uint32_t kMagic = 0x56495452;  // 'VITR'
-// Version 2: the last storage::kPageFooterSize bytes of every page are
-// reserved for the integrity footer, shrinking node capacities.
-constexpr uint32_t kVersion = 2;
 constexpr uint8_t kLeafType = 1;
 constexpr uint8_t kInternalType = 2;
 
-constexpr size_t kMetaMagic = 0;
-constexpr size_t kMetaVersion = 4;
-constexpr size_t kMetaValueSize = 8;
-constexpr size_t kMetaRoot = 12;
-constexpr size_t kMetaHeight = 16;
-constexpr size_t kMetaFirstLeaf = 20;
-constexpr size_t kMetaNumEntries = 24;
-constexpr size_t kMetaFreeSlot = 32;
+// Occupancy floor of every non-root node: safely below both a split's
+// half-full halves and a BulkLoad at fill factors >= 0.5.
+constexpr double kMinFill = 0.25;
 
 constexpr size_t kNodeType = 0;
 constexpr size_t kNodeCount = 2;
@@ -226,23 +212,7 @@ Result<BPlusTree> BPlusTree::Create(BufferPool* pool, uint32_t value_size) {
   return tree;
 }
 
-Result<BPlusTree> BPlusTree::Open(BufferPool* pool) {
-  if (pool->pager()->num_pages() == 0) {
-    return Status::InvalidArgument("Open requires an initialized pager");
-  }
-  BPlusTree tree(pool);
-  {
-    WriterLock lock(*tree.latch_);
-    VITRI_RETURN_IF_ERROR(tree.LoadMeta());
-  }
-  return tree;
-}
-
 Status BPlusTree::InitEmpty() {
-  VITRI_ASSIGN_OR_RETURN(PageRef meta, pool_->New());
-  if (meta.id() != 0) {
-    return Status::Internal("meta page must be page 0");
-  }
   VITRI_ASSIGN_OR_RETURN(PageRef root, pool_->New());
   NodeView view(root.mutable_data(), value_size_);
   view.set_type(kLeafType);
@@ -254,49 +224,6 @@ Status BPlusTree::InitEmpty() {
   first_leaf_ = root.id();
   height_ = 1;
   num_entries_ = 0;
-  meta.MarkDirty();
-  meta.Release();
-  return StoreMeta();
-}
-
-Status BPlusTree::LoadMeta() {
-  VITRI_ASSIGN_OR_RETURN(PageRef meta, pool_->Fetch(0));
-  const uint8_t* p = meta.data();
-  if (DecodeU32(p + kMetaMagic) != kMagic) {
-    return Status::Corruption("bad B+-tree magic");
-  }
-  if (DecodeU32(p + kMetaVersion) != kVersion) {
-    return Status::Corruption("unsupported B+-tree version");
-  }
-  value_size_ = DecodeU32(p + kMetaValueSize);
-  root_ = DecodeU32(p + kMetaRoot);
-  height_ = DecodeU32(p + kMetaHeight);
-  first_leaf_ = DecodeU32(p + kMetaFirstLeaf);
-  num_entries_ = DecodeU64(p + kMetaNumEntries);
-  if (DecodeU32(p + kMetaFreeSlot) != kInvalidPageId) {
-    return Status::Corruption("B+-tree meta page names a free page");
-  }
-  const size_t usable =
-      pool_->pager()->page_size() - storage::kPageFooterSize;
-  leaf_capacity_ =
-      static_cast<uint32_t>((usable - kLeafHeader) / (16 + value_size_));
-  internal_capacity_ =
-      static_cast<uint32_t>((usable - kInternalHeader) / kInternalEntry);
-  return Status::OK();
-}
-
-Status BPlusTree::StoreMeta() {
-  VITRI_ASSIGN_OR_RETURN(PageRef meta, pool_->Fetch(0));
-  uint8_t* p = meta.mutable_data();
-  EncodeU32(p + kMetaMagic, kMagic);
-  EncodeU32(p + kMetaVersion, kVersion);
-  EncodeU32(p + kMetaValueSize, value_size_);
-  EncodeU32(p + kMetaRoot, root_);
-  EncodeU32(p + kMetaHeight, height_);
-  EncodeU32(p + kMetaFirstLeaf, first_leaf_);
-  EncodeU64(p + kMetaNumEntries, num_entries_);
-  EncodeU32(p + kMetaFreeSlot, kInvalidPageId);
-  meta.MarkDirty();
   return Status::OK();
 }
 
@@ -323,8 +250,7 @@ Status BPlusTree::Insert(double key, uint64_t rid,
   }
   ++num_entries_;
   VITRI_METRIC_COUNTER("btree.inserts")->Increment();
-  VITRI_RETURN_IF_ERROR(StoreMeta());
-  VITRI_DCHECK_OK(ValidateInvariantsLocked({}));
+  VITRI_DCHECK_OK(ValidateInvariantsLocked(kMinFill));
   return Status::OK();
 }
 
@@ -573,7 +499,7 @@ Status BPlusTree::BulkLoad(const std::vector<Entry>& entries,
 
   // Level 0: pack leaves. An empty tree is one empty root leaf; the
   // first packed leaf overwrites it in place and the rest are new pages,
-  // so the chain is contiguous on disk.
+  // so the chain runs in page-id order.
   std::vector<ChildRef> level;
   PageId prev_leaf = kInvalidPageId;
   size_t i = 0;
@@ -641,54 +567,31 @@ Status BPlusTree::BulkLoad(const std::vector<Entry>& entries,
   }
   root_ = level[0].page;
   num_entries_ = entries.size();
-  VITRI_RETURN_IF_ERROR(StoreMeta());
   // Low fill factors legitimately pack below the default occupancy
   // floor, so the post-bulk-load self-check scales its bound down.
-  TreeCheckOptions check;
-  check.min_fill = std::min(check.min_fill, fill_factor / 4.0);
-  VITRI_DCHECK_OK(ValidateInvariantsLocked(check));
+  VITRI_DCHECK_OK(
+      ValidateInvariantsLocked(std::min(kMinFill, fill_factor / 4.0)));
   return Status::OK();
 }
 
 // ---- validation ---------------------------------------------------------
 
-Status BPlusTree::ValidateInvariants(const TreeCheckOptions& options) const {
+Status BPlusTree::ValidateInvariants() const {
   WriterLock lock(*latch_);
-  return ValidateInvariantsLocked(options);
+  return ValidateInvariantsLocked(kMinFill);
 }
 
-Status BPlusTree::ValidateInvariantsLocked(
-    const TreeCheckOptions& options) const {
-  // Meta page must agree with the in-memory header fields (StoreMeta
-  // runs at the end of every mutating operation).
-  {
-    VITRI_ASSIGN_OR_RETURN(PageRef meta, pool_->Fetch(0));
-    const uint8_t* p = meta.data();
-    if (DecodeU32(p + kMetaMagic) != kMagic ||
-        DecodeU32(p + kMetaVersion) != kVersion) {
-      return Status::Corruption("meta page magic/version mismatch");
-    }
-    if (DecodeU32(p + kMetaValueSize) != value_size_ ||
-        DecodeU32(p + kMetaRoot) != root_ ||
-        DecodeU32(p + kMetaHeight) != height_ ||
-        DecodeU32(p + kMetaFirstLeaf) != first_leaf_ ||
-        DecodeU64(p + kMetaNumEntries) != num_entries_ ||
-        DecodeU32(p + kMetaFreeSlot) != kInvalidPageId) {
-      return Status::Corruption(
-          "meta page disagrees with the in-memory tree header");
-    }
-  }
-
+Status BPlusTree::ValidateInvariantsLocked(double min_fill) const {
   uint64_t entry_count = 0;
   uint64_t node_count = 0;
   std::vector<PageId> leaves;
-  VITRI_RETURN_IF_ERROR(ValidateNode(options, root_, 0, false, 0.0, 0,
+  VITRI_RETURN_IF_ERROR(ValidateNode(min_fill, root_, 0, false, 0.0, 0,
                                      false, 0.0, 0, &entry_count,
                                      &node_count, &leaves));
   if (entry_count != num_entries_) {
     return Status::Corruption(
         "entry count mismatch: tree holds " + std::to_string(entry_count) +
-        ", meta claims " + std::to_string(num_entries_));
+        ", header claims " + std::to_string(num_entries_));
   }
 
   // Leaf chain must enumerate the same leaves, in order, doubly linked.
@@ -714,30 +617,19 @@ Status BPlusTree::ValidateInvariantsLocked(
     return Status::Corruption("leaf chain shorter than the tree");
   }
 
-  // Exact page accounting: nothing is ever freed, so the meta page and
-  // the reachable nodes cover the pager.
+  // Exact page accounting: nothing is ever freed, so the reachable
+  // nodes cover the pager.
   const uint64_t total_pages = pool_->pager()->num_pages();
-  if (1 + node_count != total_pages) {
+  if (node_count != total_pages) {
     return Status::Corruption(
-        "page accounting mismatch: meta + " + std::to_string(node_count) +
+        "page accounting mismatch: " + std::to_string(node_count) +
         " nodes != " + std::to_string(total_pages) + " pager pages");
-  }
-
-  if (options.verify_checksums) {
-    VITRI_ASSIGN_OR_RETURN(storage::PageVerifyReport report,
-                           storage::VerifyAllPages(pool_->pager()));
-    if (!report.clean()) {
-      return Status::Corruption(
-          "page footer checksum mismatch on " +
-          std::to_string(report.corrupt.size()) + " page(s), first: " +
-          std::to_string(report.corrupt.front()));
-    }
   }
   return Status::OK();
 }
 
-Status BPlusTree::ValidateNode(const TreeCheckOptions& options,
-                               PageId node_id, uint32_t depth, bool has_lo,
+Status BPlusTree::ValidateNode(double min_fill, PageId node_id,
+                               uint32_t depth, bool has_lo,
                                double lo_key, uint64_t lo_rid, bool has_hi,
                                double hi_key, uint64_t hi_rid,
                                uint64_t* entry_count, uint64_t* node_count,
@@ -760,7 +652,7 @@ Status BPlusTree::ValidateNode(const TreeCheckOptions& options,
                                 " count exceeds capacity");
     }
     const auto min_entries = std::max(
-        1u, static_cast<uint32_t>(options.min_fill *
+        1u, static_cast<uint32_t>(min_fill *
                                   static_cast<double>(leaf_capacity_)));
     if (node_id != root_ && node.count() < min_entries) {
       return Status::Corruption("leaf " + std::to_string(node_id) +
@@ -802,8 +694,7 @@ Status BPlusTree::ValidateNode(const TreeCheckOptions& options,
   // separators.
   const auto min_children = std::max(
       2u, static_cast<uint32_t>(
-              options.min_fill *
-              static_cast<double>(internal_capacity_ + 1)));
+              min_fill * static_cast<double>(internal_capacity_ + 1)));
   if (node_id != root_ && node.count() + 1u < min_children) {
     return Status::Corruption("interior node " + std::to_string(node_id) +
                               " below minimum fill: " +
@@ -825,7 +716,7 @@ Status BPlusTree::ValidateNode(const TreeCheckOptions& options,
     const uint64_t child_hi_rid =
         (i < node.count()) ? node.sep_rid(i) : hi_rid;
     VITRI_RETURN_IF_ERROR(ValidateNode(
-        options, node.child(i), depth + 1, child_has_lo, child_lo_key,
+        min_fill, node.child(i), depth + 1, child_has_lo, child_lo_key,
         child_lo_rid, child_has_hi, child_hi_key, child_hi_rid, entry_count,
         node_count, leaves_in_order));
   }

@@ -31,24 +31,13 @@ struct Entry {
 using ScanCallback = std::function<bool(double key, uint64_t rid,
                                         std::span<const uint8_t> value)>;
 
-/// Knobs for BPlusTree::ValidateInvariants.
-struct TreeCheckOptions {
-  /// Minimum occupancy fraction every non-root node must satisfy.
-  /// The default is safely below both a split's half-full halves and the
-  /// worst case of a BulkLoad at fill factors >= 0.5; callers that
-  /// bulk-loaded at a known fill factor f may tighten it to f/2.
-  double min_fill = 0.25;
-  /// Also re-read every page of the backing pager and verify its
-  /// integrity footer (storage::VerifyAllPages). Off by default: the
-  /// structural walk already checksums pages it faults in, and offline
-  /// audits (`vitri check`) turn this on for full coverage.
-  bool verify_checksums = false;
-};
-
-/// Disk-paged B+-tree over composite keys (double, uint64) with
-/// fixed-size values, built on a BufferPool. Insert-only, like the
-/// paper's index: it is bulk-loaded, grows by inserts with splits, and
-/// is rebuilt rather than shrunk, so it never frees a page.
+/// Paged B+-tree over composite keys (double, uint64) with fixed-size
+/// values, built on a BufferPool. Insert-only, like the paper's index:
+/// it is bulk-loaded, grows by inserts with splits, and is rebuilt
+/// rather than shrunk, so it never frees a page. It is in-memory by
+/// construction: the header fields (root, first leaf, height, entry
+/// count) live in members only, and the index it serves is made durable
+/// by the snapshot and the WAL (DESIGN.md §13), never by its pages.
 ///
 /// Thread-safety: the tree carries a reader-writer latch. Lookup() and
 /// RangeScan() take it shared and may run concurrently from any number
@@ -64,11 +53,11 @@ struct TreeCheckOptions {
 /// permit recursively.
 /// See DESIGN.md §13 and the lock catalog in §14.
 ///
-/// Page 0 of the pager is the tree's meta page; interior pages hold
-/// (separator, child) arrays, leaves hold (key, rid, value) records and
-/// are doubly linked for ordered scans. Page-access counts (what the
-/// paper reports as I/O cost) are what a RangeScan's fetches add to the
-/// caller's IoTally.
+/// Every pager page is a node: interior pages hold (separator, child)
+/// arrays, leaves hold (key, rid, value) records and are doubly linked
+/// for ordered scans. Create() makes the empty root leaf page 0.
+/// Page-access counts (what the paper reports as I/O cost) are what a
+/// RangeScan's fetches add to the caller's IoTally.
 class BPlusTree {
  public:
   BPlusTree(const BPlusTree&) = delete;
@@ -80,10 +69,6 @@ class BPlusTree {
   /// is the byte size of every record payload and must fit a page.
   static Result<BPlusTree> Create(storage::BufferPool* pool,
                                   uint32_t value_size);
-
-  /// Opens an existing tree (meta page must be present and valid; a
-  /// meta page naming a free page is Corruption).
-  static Result<BPlusTree> Open(storage::BufferPool* pool);
 
   /// Inserts one record. (key, rid) pairs must be unique; inserting a
   /// duplicate composite key fails with InvalidArgument.
@@ -138,21 +123,19 @@ class BPlusTree {
   /// Exhaustively checks every structural invariant of the tree:
   ///  * composite keys strictly ordered within and across nodes, with
   ///    separator bounds propagated to every subtree;
-  ///  * node occupancy within [min_fill * capacity, capacity] for all
-  ///    non-root nodes, and counts that fit on the page;
+  ///  * node occupancy within [capacity / 4, capacity] for all non-root
+  ///    nodes, and counts that fit on the page;
   ///  * all leaves at the same depth (== height) and the doubly linked
   ///    leaf chain enumerating exactly the tree's leaves in key order;
-  ///  * the meta page agreeing with the in-memory header fields;
-  ///  * page accounting exact: meta + reachable nodes = pager pages;
-  ///  * optionally (TreeCheckOptions::verify_checksums) every page's
-  ///    integrity footer.
+  ///  * the entry count agreeing with the records in the leaves;
+  ///  * page accounting exact: reachable nodes = pager pages.
   /// Pages faulted in during the walk are checksum-verified by the
-  /// BufferPool as usual, so on-disk corruption surfaces as Corruption.
+  /// BufferPool as usual, so a corrupted page surfaces as Corruption.
   /// Its fetches count in the pool's cumulative IoStats like any other
   /// read; no query's costs include them (queries count their own
   /// IoTally). Runs after every mutating operation in debug builds
   /// (VITRI_DCHECK), in tests, and via `vitri check`.
-  Status ValidateInvariants(const TreeCheckOptions& options = {}) const;
+  Status ValidateInvariants() const;
 
  private:
   explicit BPlusTree(storage::BufferPool* pool) : pool_(pool) {}
@@ -164,20 +147,20 @@ class BPlusTree {
   // const walkers, at least a reader's) critical section; REQUIRES makes
   // that a compile-time contract instead of a comment.
   Status InitEmpty() VITRI_REQUIRES(*latch_);
-  Status LoadMeta() VITRI_REQUIRES(*latch_);
-  Status StoreMeta() VITRI_REQUIRES(*latch_);
   Result<SplitResult> InsertRec(storage::PageId node_id, double key,
                                 uint64_t rid,
                                 std::span<const uint8_t> value)
       VITRI_REQUIRES(*latch_);
   // ValidateInvariants minus the latch, for self-checks already inside
-  // a writer's critical section.
-  Status ValidateInvariantsLocked(const TreeCheckOptions& options) const
+  // a writer's critical section. Every non-root node must hold at least
+  // `min_fill` of its capacity: a quarter, except in BulkLoad's own
+  // self-check, which lowers it for fill factors below one half.
+  Status ValidateInvariantsLocked(double min_fill) const
       VITRI_REQUIRES(*latch_);
-  Status ValidateNode(const TreeCheckOptions& options,
-                      storage::PageId node_id, uint32_t depth, bool has_lo,
-                      double lo_key, uint64_t lo_rid, bool has_hi,
-                      double hi_key, uint64_t hi_rid, uint64_t* entry_count,
+  Status ValidateNode(double min_fill, storage::PageId node_id,
+                      uint32_t depth, bool has_lo, double lo_key,
+                      uint64_t lo_rid, bool has_hi, double hi_key,
+                      uint64_t hi_rid, uint64_t* entry_count,
                       uint64_t* node_count,
                       std::vector<storage::PageId>* leaves_in_order) const
       VITRI_REQUIRES(*latch_);
@@ -188,9 +171,9 @@ class BPlusTree {
   /// the ViTriIndex latch and before any BufferPool latch (DESIGN.md
   /// §14 acquisition order).
   mutable std::unique_ptr<SharedMutex> latch_ = std::make_unique<SharedMutex>();
-  /// value_size_/leaf_capacity_/internal_capacity_ are fixed by
-  /// Create/Open before the tree is visible to other threads and never
-  /// change, so they are deliberately unguarded.
+  /// value_size_/leaf_capacity_/internal_capacity_ are fixed by Create
+  /// before the tree is visible to other threads and never change, so
+  /// they are deliberately unguarded.
   uint32_t value_size_ = 0;
   storage::PageId root_ VITRI_GUARDED_BY(*latch_) = storage::kInvalidPageId;
   storage::PageId first_leaf_ VITRI_GUARDED_BY(*latch_) =

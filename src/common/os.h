@@ -33,7 +33,7 @@ std::optional<size_t> GetEnvPositive(const char* name);
 /// (sockets, pipes): retry EINTR, advance past short transfers, and
 /// format failures through ErrnoString so error strings stay mt-safe.
 /// These are the positionless siblings of storage/posix_io.h's
-/// ReadFullyAt/WriteFullyAt (which serve pread/pwrite-backed pagers).
+/// ReadFullyAt/WriteFullyAt (which serve the pread/pwrite WAL file).
 ///
 /// ReadFull returns the bytes transferred: exactly `n`, or fewer iff
 /// the peer closed the stream first (0 = EOF before any byte — a clean

@@ -18,7 +18,6 @@
 #include "linalg/frame_matrix.h"
 #include "linalg/kernels.h"
 #include "core/validate.h"
-#include "storage/retry_pager.h"
 
 namespace vitri::core {
 
@@ -153,11 +152,6 @@ Status ViTriIndex::LoadTree() {
   pool_ = std::make_unique<BufferPool>(pager_.get(),
                                        options_.buffer_pool_pages,
                                        options_.buffer_pool_options);
-  // Mirror transient-error retries into the pool's IoStats so
-  // io_stats() surfaces them.
-  if (auto* retrying = dynamic_cast<storage::RetryingPager*>(pager_.get())) {
-    retrying->set_stats_sink(pool_->external_stats());
-  }
   VITRI_ASSIGN_OR_RETURN(
       BPlusTree tree,
       BPlusTree::Create(pool_.get(),

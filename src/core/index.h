@@ -39,13 +39,15 @@ struct ViTriIndexOptions {
   /// First-principal-component drift (radians) beyond which
   /// NeedsRebuild() reports true (Section 6.3.3 policy).
   double rebuild_angle_threshold = 0.35;
-  /// Backing store factory, called with the page size whenever the tree
-  /// is (re)built. Defaults to an in-memory pager; inject a
-  /// FilePager/RetryingPager/FaultInjectingPager stack for durability or
-  /// fault-tolerance testing. Must return a fresh, empty pager.
+  /// Test seam: the tree's pager factory, called with the page size
+  /// whenever the tree is (re)built. Unset (always, outside tests), the
+  /// tree sits on a fresh MemPager; fault tests return a
+  /// FaultInjectingPager over one. Must return a fresh, empty pager.
+  /// The index is durable only through EnableDurability/Open, never
+  /// through its pages.
   std::function<std::unique_ptr<storage::Pager>(size_t page_size)>
       pager_factory;
-  /// Durability knobs of the tree's buffer pool (sync_on_flush etc.).
+  /// The tree's buffer-pool knobs (the pool shard count).
   storage::BufferPoolOptions buffer_pool_options;
   /// Optional transform override: when set, Build() and Rebuild() call
   /// this with the indexed positions instead of fitting `reference` on

@@ -50,13 +50,11 @@ BufferPool::BufferPool(Pager* pager, size_t capacity)
 BufferPool::BufferPool(Pager* pager, size_t capacity,
                        const BufferPoolOptions& options)
     : pager_(pager),
-      capacity_(capacity == 0 ? 1 : capacity),
-      options_(options) {
+      capacity_(capacity == 0 ? 1 : capacity) {
   VITRI_CHECK(pager->page_size() > kPageFooterSize)
       << "page size must leave room for the integrity footer";
-  const size_t num_shards = ResolveShardCount(capacity_, options_);
+  const size_t num_shards = ResolveShardCount(capacity_, options);
   shards_.reserve(num_shards);
-  auto& registry = metrics::Registry::Instance();
   for (size_t i = 0; i < num_shards; ++i) {
     auto shard = std::make_unique<Shard>();
     shard->index = i;
@@ -71,10 +69,6 @@ BufferPool::BufferPool(Pager* pager, size_t capacity,
       shard->free_list.push_back(slot - 1);
     }
     shard->replacer = ClockReplacer(frames);
-    const std::string prefix = "buffer_pool.shard." + std::to_string(i) + ".";
-    shard->metrics.fetches = registry.GetCounter(prefix + "fetches");
-    shard->metrics.hits = registry.GetCounter(prefix + "hits");
-    shard->metrics.evictions = registry.GetCounter(prefix + "evictions");
     shards_.push_back(std::move(shard));
   }
 }
@@ -97,7 +91,6 @@ Result<PageRef> BufferPool::Fetch(PageId id, IoTally* tally) {
   Shard& s = ShardFor(id);
   ++s.stats.logical_reads;
   if (tally != nullptr) ++tally->io.logical_reads;
-  s.metrics.fetches->Increment();
   // The registry counters are process-wide and cumulative, like the
   // shard's IoStats; what this one request cost goes to its tally.
   VITRI_METRIC_COUNTER("storage.pool.fetches")->Increment();
@@ -159,7 +152,6 @@ Result<uint8_t*> BufferPool::LoadPage(Shard& s, PageId id, IoTally* tally) {
         Frame& f = s.frames[it->second];
         ++s.stats.cache_hits;
         if (tally != nullptr) ++tally->io.cache_hits;
-        s.metrics.hits->Increment();
         VITRI_METRIC_COUNTER("storage.pool.hits")->Increment();
         if (f.pin_count == 0) s.replacer.Pin(it->second);
         ++f.pin_count;
@@ -239,7 +231,6 @@ Result<size_t> BufferPool::ClaimSlot(Shard& s, IoTally* tally) {
       vf.id = kInvalidPageId;
       ++s.stats.evictions;
       if (tally != nullptr) ++tally->io.evictions;
-      s.metrics.evictions->Increment();
       VITRI_METRIC_COUNTER("storage.pool.evictions")->Increment();
       VITRI_METRIC_GAUGE("storage.pool.resident")->Add(-1);
       return victim;
@@ -271,7 +262,6 @@ Result<size_t> BufferPool::ClaimSlot(Shard& s, IoTally* tally) {
   vf.id = kInvalidPageId;
   ++s.stats.evictions;
   if (tally != nullptr) ++tally->io.evictions;
-  s.metrics.evictions->Increment();
   VITRI_METRIC_COUNTER("storage.pool.evictions")->Increment();
   VITRI_METRIC_GAUGE("storage.pool.resident")->Add(-1);
   return victim;
@@ -285,9 +275,7 @@ Status BufferPool::FlushAll() {
       VITRI_RETURN_IF_ERROR(WriteBackLocked(s, s.frames[slot]));
     }
   }
-  if (!options_.sync_on_flush) return Status::OK();
-  VITRI_METRIC_COUNTER("storage.pool.syncs")->Increment();
-  return pager_->Sync();
+  return Status::OK();
 }
 
 Status BufferPool::EvictAll() {
@@ -335,7 +323,7 @@ Status BufferPool::WriteBackLocked(Shard& s, Frame& frame) {
 }
 
 IoSnapshot BufferPool::StatsSnapshot() const {
-  IoSnapshot total = external_stats_.Snapshot();
+  IoSnapshot total;
   for (const auto& shard : shards_) total = total + shard->stats.Snapshot();
   return total;
 }

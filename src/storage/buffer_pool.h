@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/annotated_lock.h"
-#include "common/metrics.h"
 #include "common/result.h"
 #include "storage/io_stats.h"
 #include "storage/page.h"
@@ -80,13 +79,6 @@ class PageRef {
 
 /// Knobs for a BufferPool.
 struct BufferPoolOptions {
-  /// Finish FlushAll() (and therefore destruction) with Pager::Sync(),
-  /// making the flush a durability point rather than just a write-back
-  /// into the OS page cache. How strong that point is depends on the
-  /// pager's own sync mode (FilePager::Open's FileSyncMode). Disable
-  /// for throwaway benchmark pools where the file is never reopened.
-  bool sync_on_flush = true;
-
   /// Number of independently latched sub-pools the frames are split
   /// into (page id modulo shard count picks the shard). 0 = auto:
   /// capacity/8 clamped to [1, 8], so small test pools stay one shard
@@ -157,21 +149,16 @@ class BufferPool {
   /// cache for benchmark repeatability.
   Status EvictAll();
 
-  /// Cumulative counters, folded across the shards (plus the external
-  /// sink) at call time. Each field is a sum of atomic loads, so totals
-  /// never tear even while other threads fetch. Returned by value: with
-  /// sharded counters there is no single live struct to reference.
+  /// Cumulative counters, folded across the shards at call time. Each
+  /// field is a sum of atomic loads, so totals never tear even while
+  /// other threads fetch. Returned by value: with sharded counters there
+  /// is no single live struct to reference.
   IoStats stats() const;
   /// Same fold as plain integers — the cheap form for deltas.
   IoSnapshot StatsSnapshot() const;
   /// One snapshot per shard (index = shard number), for per-shard
-  /// hit-rate / balance reporting. Excludes the external sink.
+  /// hit-rate / balance reporting.
   std::vector<IoSnapshot> ShardSnapshots() const;
-
-  /// Counter sink for pager decorators (RetryingPager::set_stats_sink):
-  /// an extra IoStats folded into stats() that does not belong to any
-  /// shard. Writing other fields through it (tests) is fine too.
-  IoStats* external_stats() { return &external_stats_; }
 
   /// Page ids whose checksum verification failed since construction (or
   /// the last ClearCorruptPages). Ordered for stable reporting; returns
@@ -181,7 +168,6 @@ class BufferPool {
 
   size_t capacity() const { return capacity_; }
   size_t num_shards() const { return shards_.size(); }
-  const BufferPoolOptions& options() const { return options_; }
   size_t resident() const;
   /// The pointer itself is set at construction and immutable; the
   /// pointee is thread-safe per the Pager contract.
@@ -216,15 +202,6 @@ class BufferPool {
     bool loading = false;
   };
 
-  /// Cached per-shard registry counters (buffer_pool.shard.<i>.*).
-  /// Looked up once at construction — the VITRI_METRIC_* macros cache
-  /// per *call site*, which would pin every shard to shard 0's counter.
-  struct ShardMetrics {
-    metrics::Counter* fetches = nullptr;
-    metrics::Counter* hits = nullptr;
-    metrics::Counter* evictions = nullptr;
-  };
-
   /// One independently latched sub-pool. The latch guards the
   /// bookkeeping containers and every Frame's bookkeeping fields; frame
   /// *data* buffers are handed off to I/O threads via the loading flag
@@ -249,7 +226,6 @@ class BufferPool {
     std::unordered_set<PageId> evicting VITRI_GUARDED_BY(latch);
     IoStats stats;
     std::set<PageId> corrupt VITRI_GUARDED_BY(latch);
-    ShardMetrics metrics;
   };
 
   Shard& ShardFor(PageId id) { return *shards_[id % shards_.size()]; }
@@ -281,11 +257,9 @@ class BufferPool {
   /// Set at construction, never reassigned; thread-safe per contract.
   Pager* const pager_;
   size_t capacity_;
-  BufferPoolOptions options_;
   /// unique_ptr for address stability (Shard holds a Mutex and is
   /// neither movable nor copyable).
   std::vector<std::unique_ptr<Shard>> shards_;
-  IoStats external_stats_;
 };
 
 }  // namespace vitri::storage

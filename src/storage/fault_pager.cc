@@ -15,8 +15,6 @@ const char* FaultKindName(FaultKind kind) {
       return "bit-flip";
     case FaultKind::kTornWrite:
       return "torn-write";
-    case FaultKind::kSyncFailure:
-      return "sync-failure";
   }
   return "unknown";
 }
@@ -25,8 +23,7 @@ std::string FaultStats::ToString() const {
   std::ostringstream os;
   os << "transient_io_errors=" << transient_io_errors
      << " persistent_io_errors=" << persistent_io_errors
-     << " bit_flips=" << bit_flips << " torn_writes=" << torn_writes
-     << " sync_failures=" << sync_failures;
+     << " bit_flips=" << bit_flips << " torn_writes=" << torn_writes;
   return os.str();
 }
 
@@ -83,9 +80,6 @@ void FaultInjectingPager::CountFault(FaultKind kind) {
     case FaultKind::kTornWrite:
       ++stats_.torn_writes;
       break;
-    case FaultKind::kSyncFailure:
-      ++stats_.sync_failures;
-      break;
   }
 }
 
@@ -121,7 +115,6 @@ Status FaultInjectingPager::Read(PageId id, uint8_t* out) {
         return Status::OK();
       }
       case FaultKind::kTornWrite:
-      case FaultKind::kSyncFailure:
         break;  // Not meaningful on reads; fall through to a clean read.
     }
   }
@@ -154,28 +147,9 @@ Status FaultInjectingPager::Write(PageId id, const uint8_t* src) {
         CountFault(*fault);
         return base_->Write(id, torn.data());
       }
-      case FaultKind::kSyncFailure:
-        break;  // Not meaningful on writes; fall through.
     }
   }
   return base_->Write(id, src);
-}
-
-Status FaultInjectingPager::Sync() {
-  const std::optional<FaultKind> fault = NextFault(FaultOp::kSync, kAnyPage);
-  if (fault.has_value()) {
-    switch (*fault) {
-      case FaultKind::kSyncFailure:
-      case FaultKind::kTransientIoError:
-      case FaultKind::kPersistentIoError:
-        CountFault(*fault);
-        return Status::IoError(std::string("injected ") +
-                               FaultKindName(*fault) + " on sync");
-      default:
-        break;
-    }
-  }
-  return base_->Sync();
 }
 
 }  // namespace vitri::storage

@@ -18,8 +18,8 @@ namespace vitri::storage {
 
 /// What a fault rule does when it fires.
 enum class FaultKind {
-  /// Read/Write/Sync fails with IoError; the next attempt may succeed
-  /// (the rule consumes one of its fires).
+  /// Read/Write fails with IoError; the next attempt may succeed (the
+  /// rule consumes one of its fires).
   kTransientIoError,
   /// Every matching operation fails with IoError, forever.
   kPersistentIoError,
@@ -31,12 +31,10 @@ enum class FaultKind {
   /// keeps its previous contents (or zeros for a never-written page).
   /// Models a power-cut torn write. Reported to the caller as success.
   kTornWrite,
-  /// Sync fails with IoError.
-  kSyncFailure,
 };
 
 /// Which pager operation a rule applies to.
-enum class FaultOp { kRead, kWrite, kSync };
+enum class FaultOp { kRead, kWrite };
 
 const char* FaultKindName(FaultKind kind);
 
@@ -62,11 +60,10 @@ struct FaultStats {
   uint64_t persistent_io_errors = 0;
   uint64_t bit_flips = 0;
   uint64_t torn_writes = 0;
-  uint64_t sync_failures = 0;
 
   uint64_t total() const {
     return transient_io_errors + persistent_io_errors + bit_flips +
-           torn_writes + sync_failures;
+           torn_writes;
   }
   std::string ToString() const;
 };
@@ -98,7 +95,6 @@ class FaultInjectingPager final : public Pager {
   Result<PageId> Allocate() override;
   Status Read(PageId id, uint8_t* out) override;
   Status Write(PageId id, const uint8_t* src) override;
-  Status Sync() override;
 
  private:
   struct ArmedRule {

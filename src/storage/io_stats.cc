@@ -16,7 +16,6 @@ IoSnapshot IoStats::Snapshot() const {
   s.physical_writes = physical_writes.load(std::memory_order_relaxed);
   s.allocations = allocations.load(std::memory_order_relaxed);
   s.checksum_failures = checksum_failures.load(std::memory_order_relaxed);
-  s.retries = retries.load(std::memory_order_relaxed);
   s.evictions = evictions.load(std::memory_order_relaxed);
   return s;
 }
@@ -29,7 +28,6 @@ IoStats& IoStats::operator=(const IoSnapshot& values) {
   allocations.store(values.allocations, std::memory_order_relaxed);
   checksum_failures.store(values.checksum_failures,
                           std::memory_order_relaxed);
-  retries.store(values.retries, std::memory_order_relaxed);
   evictions.store(values.evictions, std::memory_order_relaxed);
   return *this;
 }
@@ -44,7 +42,6 @@ std::string CountersToString(const IoSnapshot& s) {
      << " physical_writes=" << s.physical_writes
      << " allocations=" << s.allocations
      << " checksum_failures=" << s.checksum_failures
-     << " retries=" << s.retries
      << " evictions=" << s.evictions;
   return os.str();
 }

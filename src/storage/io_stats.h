@@ -18,7 +18,6 @@ struct IoSnapshot {
   uint64_t physical_writes = 0;
   uint64_t allocations = 0;
   uint64_t checksum_failures = 0;
-  uint64_t retries = 0;
   uint64_t evictions = 0;
   /// Always 0: the pool loads pages on demand only, so no fetch is ever
   /// served by a page loaded ahead of it. Kept, uncounted and outside
@@ -36,7 +35,6 @@ struct IoSnapshot {
     out.physical_writes = physical_writes + rhs.physical_writes;
     out.allocations = allocations + rhs.allocations;
     out.checksum_failures = checksum_failures + rhs.checksum_failures;
-    out.retries = retries + rhs.retries;
     out.evictions = evictions + rhs.evictions;
     return out;
   }
@@ -49,7 +47,6 @@ struct IoSnapshot {
     out.physical_writes = physical_writes - rhs.physical_writes;
     out.allocations = allocations - rhs.allocations;
     out.checksum_failures = checksum_failures - rhs.checksum_failures;
-    out.retries = retries - rhs.retries;
     out.evictions = evictions - rhs.evictions;
     return out;
   }
@@ -77,8 +74,6 @@ struct IoStats {
   std::atomic<uint64_t> physical_writes{0};  // Pager writes.
   std::atomic<uint64_t> allocations{0};      // Newly allocated pages.
   std::atomic<uint64_t> checksum_failures{0};  // Footer-rejected reads.
-  std::atomic<uint64_t> retries{0};  // Transient-IoError retries (see
-                                     // storage/retry_pager.h).
   std::atomic<uint64_t> evictions{0};  // Frames recycled by the replacer.
 
   IoStats() = default;

@@ -8,6 +8,7 @@
 #include "common/os.h"
 
 namespace vitri::storage {
+namespace {
 
 const char* FileSyncModeName(FileSyncMode mode) {
   switch (mode) {
@@ -15,11 +16,11 @@ const char* FileSyncModeName(FileSyncMode mode) {
       return "fsync";
     case FileSyncMode::kFdatasync:
       return "fdatasync";
-    case FileSyncMode::kNone:
-      return "none";
   }
   return "unknown";
 }
+
+}  // namespace
 
 Status ReadFullyAt(int fd, uint8_t* buf, size_t n, off_t offset) {
   while (n > 0) {
@@ -56,7 +57,6 @@ Status WriteFullyAt(int fd, const uint8_t* buf, size_t n, off_t offset) {
 }
 
 Status SyncFd(int fd, FileSyncMode mode) {
-  if (mode == FileSyncMode::kNone) return Status::OK();
   for (;;) {
     int rc;
     if (mode == FileSyncMode::kFdatasync) {

@@ -10,17 +10,13 @@
 
 namespace vitri::storage {
 
-/// How a file-backed store turns "written" into "durable". The choice
-/// trades safety for throughput: fdatasync skips flushing file metadata
-/// (mtime etc.) that recovery never reads, and kNone leaves durability
-/// to the OS writeback daemon — benchmarks only.
+/// How a durable file (WAL, snapshot) turns "written" into "durable":
+/// fdatasync skips flushing file metadata (mtime etc.) that recovery
+/// never reads.
 enum class FileSyncMode : uint8_t {
   kFsync = 0,
   kFdatasync = 1,
-  kNone = 2,
 };
-
-const char* FileSyncModeName(FileSyncMode mode);
 
 /// pread/pwrite may transfer fewer bytes than asked (signals, quotas,
 /// disk-full for writes) or fail with EINTR without transferring
@@ -30,8 +26,7 @@ Status ReadFullyAt(int fd, uint8_t* buf, size_t n, off_t offset);
 Status WriteFullyAt(int fd, const uint8_t* buf, size_t n, off_t offset);
 
 /// Makes everything written to `fd` durable per `mode`, with the same
-/// EINTR-retry discipline as the transfer paths. kNone returns OK
-/// without touching the kernel.
+/// EINTR-retry discipline as the transfer paths.
 Status SyncFd(int fd, FileSyncMode mode);
 
 /// fsyncs the directory containing `path` (or `path` itself if it is a

@@ -293,8 +293,6 @@ Status WalWriter::Commit() {
         return Sync();
       }
       return Status::OK();
-    case WalSyncMode::kNone:
-      return Status::OK();
   }
   return Status::OK();
 }

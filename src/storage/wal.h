@@ -50,8 +50,6 @@ enum class WalSyncMode : uint8_t {
   /// crash can lose the unsynced suffix of *acked* commits; the
   /// durable_commits() counter tells the caller how much is safe.
   kGrouped = 1,
-  /// Never sync from Commit(); only explicit Sync() calls. Benchmarks.
-  kNone = 2,
 };
 
 struct WalOptions {

@@ -3,13 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <limits>
 #include <map>
 #include <utility>
 #include <vector>
 
-#include "common/coding.h"
 #include "common/random.h"
 #include "storage/buffer_pool.h"
 #include "storage/pager.h"
@@ -18,7 +16,6 @@ namespace vitri::btree {
 namespace {
 
 using storage::BufferPool;
-using storage::FilePager;
 using storage::MemPager;
 
 constexpr uint32_t kValueSize = 24;
@@ -344,68 +341,6 @@ TEST(BPlusTreeTest, BulkLoadThenInsertAndDelete) {
   }
   ASSERT_TRUE(tree->ValidateInvariants().ok());
   EXPECT_EQ(tree->num_entries(), 600u);
-}
-
-TEST(BPlusTreeTest, PersistsAcrossReopenWithFilePager) {
-  const std::string path =
-      std::string(::testing::TempDir()) + "/bptree_persist.db";
-  std::remove(path.c_str());
-  {
-    auto pager = FilePager::Open(path, 512);
-    ASSERT_TRUE(pager.ok());
-    BufferPool pool(pager->get(), 64);
-    auto tree = BPlusTree::Create(&pool, kValueSize);
-    ASSERT_TRUE(tree.ok());
-    for (int i = 0; i < 300; ++i) {
-      ASSERT_TRUE(tree->Insert(i, i, MakeValue(i)).ok());
-    }
-    ASSERT_TRUE(pool.FlushAll().ok());
-  }
-  {
-    auto pager = FilePager::Open(path, 512);
-    ASSERT_TRUE(pager.ok());
-    BufferPool pool(pager->get(), 64);
-    auto tree = BPlusTree::Open(&pool);
-    ASSERT_TRUE(tree.ok());
-    EXPECT_EQ(tree->num_entries(), 300u);
-    ASSERT_TRUE(tree->ValidateInvariants().ok());
-    for (int i = 0; i < 300; ++i) {
-      std::vector<uint8_t> value;
-      auto found = tree->Lookup(i, i, &value);
-      ASSERT_TRUE(found.ok() && *found) << i;
-      EXPECT_EQ(value, MakeValue(i));
-    }
-  }
-  std::remove(path.c_str());
-}
-
-TEST(BPlusTreeTest, OpenRejectsGarbage) {
-  MemPager pager(512);
-  ASSERT_TRUE(pager.Allocate().ok());
-  BufferPool pool(&pager, 8);
-  auto tree = BPlusTree::Open(&pool);
-  EXPECT_FALSE(tree.ok());
-  EXPECT_TRUE(tree.status().IsCorruption());
-}
-
-TEST(BPlusTreeTest, OpenRejectsAMetaPageNamingAFreePage) {
-  // The tree never frees a page, so its meta page's free-list slot
-  // (byte 32) must hold kInvalidPageId.
-  TreeFixture fx;
-  {
-    auto tree = fx.Create();
-    ASSERT_TRUE(tree.ok());
-    ASSERT_TRUE(tree->Insert(1.0, 1, MakeValue(1)).ok());
-  }
-  {
-    auto meta = fx.pool.Fetch(0);
-    ASSERT_TRUE(meta.ok());
-    EncodeU32(meta->mutable_data() + 32, 1);
-    meta->MarkDirty();
-  }
-  auto tree = BPlusTree::Open(&fx.pool);
-  ASSERT_FALSE(tree.ok());
-  EXPECT_TRUE(tree.status().IsCorruption()) << tree.status().ToString();
 }
 
 TEST(BPlusTreeTest, WorksWithTinyBufferPool) {

@@ -1,17 +1,18 @@
-// End-to-end fault tolerance: the index built over a faulty storage
-// stack must retry transient errors transparently, degrade (but stay
-// correct) on persistent corruption, and heal through Rebuild().
+// End-to-end fault tolerance: the index built over a faulty pager must
+// fail a query cleanly on a read error (nothing retries it), degrade
+// (but stay correct) on persistent corruption, and heal through
+// Rebuild().
 
 #include <gtest/gtest.h>
 
-#include <chrono>
+#include <algorithm>
 #include <memory>
 #include <vector>
 
 #include "core/index.h"
+#include "core/similarity.h"
 #include "core/vitri_builder.h"
 #include "storage/fault_pager.h"
-#include "storage/retry_pager.h"
 #include "video/synthesizer.h"
 
 namespace vitri::core {
@@ -23,8 +24,6 @@ using storage::FaultOp;
 using storage::FaultRule;
 using storage::kAnyPage;
 using storage::MemPager;
-using storage::RetryingPager;
-using storage::RetryPolicy;
 
 struct World {
   video::VideoDatabase db;
@@ -56,11 +55,28 @@ std::vector<ViTri> VideoSummary(const ViTriSet& set, uint32_t video_id) {
   return out;
 }
 
-RetryPolicy FastRetries() {
-  RetryPolicy p;
-  p.max_attempts = 4;
-  p.initial_backoff = std::chrono::microseconds(0);
-  return p;
+/// Brute-force oracle: the query's estimated similarity to every
+/// stored video, ranked as the index ranks (similarity descending, then
+/// video id), top k.
+std::vector<VideoMatch> BruteForceKnn(const ViTriSet& set,
+                                      const std::vector<ViTri>& query,
+                                      uint32_t query_frames, size_t k) {
+  std::vector<VideoMatch> all;
+  for (uint32_t video = 0; video < set.frame_counts.size(); ++video) {
+    if (set.frame_counts[video] == 0) continue;
+    const double sim =
+        EstimatedVideoSimilarity(query, VideoSummary(set, video),
+                                 query_frames, set.frame_counts[video]);
+    if (sim > 0.0) all.push_back(VideoMatch{video, sim});
+  }
+  std::sort(all.begin(), all.end(),
+            [](const VideoMatch& a, const VideoMatch& b) {
+              return a.similarity > b.similarity ||
+                     (a.similarity == b.similarity &&
+                      a.video_id < b.video_id);
+            });
+  if (all.size() > k) all.resize(k);
+  return all;
 }
 
 void ExpectSameMatches(const std::vector<VideoMatch>& a,
@@ -72,49 +88,58 @@ void ExpectSameMatches(const std::vector<VideoMatch>& a,
   }
 }
 
-TEST(IndexFaultToleranceTest, TransientReadErrorsAreRetriedTransparently) {
+TEST(IndexFaultToleranceTest, TransientReadErrorFailsTheQueryCleanly) {
+  // No pager layer retries: a read error surfaces from Knn as IoError.
+  // It is not corruption, so the query does not degrade, no page is
+  // quarantined and the index does not ask for a rebuild; the next
+  // query, with the fault gone, answers exactly.
   World w = MakeWorld();
   ViTriIndexOptions options;
   options.dimension = 64;
-  // A small pool forces physical reads, so the fault schedule gets
-  // traffic to act on.
+  // A small pool forces physical reads for the fault to act on.
   options.buffer_pool_pages = 8;
-  // One transient IoError per 100 physical reads, underneath a retry
-  // layer with a fresh budget per operation.
-  options.pager_factory = [](size_t page_size) {
+  FaultInjectingPager* fault_handle = nullptr;
+  options.pager_factory = [&fault_handle](size_t page_size) {
     auto faulty = std::make_unique<FaultInjectingPager>(
         std::make_unique<MemPager>(page_size));
-    faulty->AddRule(FaultRule{FaultKind::kTransientIoError, FaultOp::kRead,
-                              kAnyPage, /*after=*/0, /*every=*/100});
-    return std::make_unique<RetryingPager>(std::move(faulty),
-                                           FastRetries());
+    fault_handle = faulty.get();
+    return faulty;
   };
   auto index = ViTriIndex::Build(w.set, options);
   ASSERT_TRUE(index.ok());
+  ASSERT_NE(fault_handle, nullptr);
 
-  const uint32_t num_videos =
-      static_cast<uint32_t>(w.set.frame_counts.size());
-  int queries_run = 0;
-  for (int q = 0; q < 100; ++q) {
-    const uint32_t video = static_cast<uint32_t>(q) % num_videos;
-    const std::vector<ViTri> query = VideoSummary(w.set, video);
-    if (query.empty()) continue;
-    ASSERT_TRUE(index->DropCaches().ok());
-    QueryCosts costs;
-    auto result = index->Knn(query, w.set.frame_counts[video], 5,
-                             KnnMethod::kComposed, &costs);
-    ASSERT_TRUE(result.ok()) << "query " << q << ": "
-                             << result.status().ToString();
-    EXPECT_FALSE(costs.degraded);
-    ++queries_run;
-  }
-  EXPECT_EQ(queries_run, 100);
-  // Faults were injected and absorbed: queries all fine, retries logged.
-  EXPECT_GT(index->io_stats().retries, 0u);
+  const uint32_t video = 0;
+  const std::vector<ViTri> query = VideoSummary(w.set, video);
+  ASSERT_FALSE(query.empty());
+  const uint32_t frames = w.set.frame_counts[video];
+  const std::vector<VideoMatch> oracle =
+      BruteForceKnn(w.set, query, frames, 5);
+  ASSERT_FALSE(oracle.empty());
+
+  // One transient error on the first page the query reads from the
+  // pager.
+  ASSERT_TRUE(index->DropCaches().ok());
+  fault_handle->AddRule(FaultRule{FaultKind::kTransientIoError,
+                                  FaultOp::kRead, kAnyPage, /*after=*/0,
+                                  /*every=*/1, /*limit=*/1});
+  QueryCosts costs;
+  auto failed = index->Knn(query, frames, 5, KnnMethod::kComposed, &costs);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_TRUE(failed.status().IsIoError()) << failed.status().ToString();
+  EXPECT_FALSE(costs.degraded);
+  EXPECT_EQ(fault_handle->fault_stats().transient_io_errors, 1u);
   EXPECT_TRUE(index->quarantined_pages().empty());
+  EXPECT_EQ(index->io_stats().checksum_failures, 0u);
   auto needs_rebuild = index->NeedsRebuild();
   ASSERT_TRUE(needs_rebuild.ok());
   EXPECT_FALSE(*needs_rebuild);
+
+  fault_handle->ClearRules();
+  auto answered = index->Knn(query, frames, 5, KnnMethod::kComposed, &costs);
+  ASSERT_TRUE(answered.ok()) << answered.status().ToString();
+  EXPECT_FALSE(costs.degraded);
+  ExpectSameMatches(oracle, *answered);
 }
 
 TEST(IndexFaultToleranceTest, CorruptionDegradesToCorrectAnswersAndHeals) {

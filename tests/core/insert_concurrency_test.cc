@@ -102,7 +102,7 @@ TEST(InsertConcurrencyTest, TreeReadersSeeOrderedPrefixesDuringInserts) {
   for (std::thread& t : readers) t.join();
   ASSERT_FALSE(failed.load());
   EXPECT_EQ(tree.num_entries(), kKeys);
-  ASSERT_TRUE(tree.ValidateInvariants({}).ok());
+  ASSERT_TRUE(tree.ValidateInvariants().ok());
 }
 
 // --- index level -----------------------------------------------------

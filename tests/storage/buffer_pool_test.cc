@@ -236,63 +236,6 @@ TEST(BufferPoolTest, WritesVisibleAcrossEviction) {
   EXPECT_EQ(again->data()[5], 42);
 }
 
-/// MemPager with a Sync() call counter, to observe FlushAll's
-/// durability behavior.
-class SyncCountingPager final : public Pager {
- public:
-  explicit SyncCountingPager(size_t page_size) : Pager(page_size),
-                                                 base_(page_size) {}
-  PageId num_pages() const override { return base_.num_pages(); }
-  Result<PageId> Allocate() override { return base_.Allocate(); }
-  Status Read(PageId id, uint8_t* out) override {
-    return base_.Read(id, out);
-  }
-  Status Write(PageId id, const uint8_t* src) override {
-    return base_.Write(id, src);
-  }
-  Status Sync() override {
-    ++syncs;
-    return base_.Sync();
-  }
-  int syncs = 0;
-
- private:
-  MemPager base_;
-};
-
-TEST(BufferPoolTest, FlushAllSyncsThePagerByDefault) {
-  SyncCountingPager pager(32);
-  BufferPool pool(&pager, 4);
-  EXPECT_TRUE(pool.options().sync_on_flush);
-  {
-    auto page = pool.New();
-    ASSERT_TRUE(page.ok());
-    page->mutable_data()[0] = 1;
-    page->MarkDirty();
-  }
-  ASSERT_TRUE(pool.FlushAll().ok());
-  EXPECT_EQ(pager.syncs, 1);
-}
-
-TEST(BufferPoolTest, SyncOnFlushFalseSkipsPagerSync) {
-  SyncCountingPager pager(32);
-  BufferPoolOptions options;
-  options.sync_on_flush = false;
-  BufferPool pool(&pager, 4, options);
-  {
-    auto page = pool.New();
-    ASSERT_TRUE(page.ok());
-    page->mutable_data()[0] = 1;
-    page->MarkDirty();
-  }
-  ASSERT_TRUE(pool.FlushAll().ok());
-  // The dirty page still reached the pager; only the sync was skipped.
-  EXPECT_EQ(pager.syncs, 0);
-  std::vector<uint8_t> buf(32);
-  ASSERT_TRUE(pager.Read(0, buf.data()).ok());
-  EXPECT_EQ(buf[0], 1);
-}
-
 TEST(BufferPoolShardingTest, ExplicitShardCountWinsAndIsClamped) {
   MemPager pager(64);
   BufferPoolOptions options;

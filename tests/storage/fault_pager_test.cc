@@ -2,14 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstring>
 #include <memory>
 #include <vector>
 
 #include "storage/buffer_pool.h"
 #include "storage/page_footer.h"
-#include "storage/retry_pager.h"
 
 namespace vitri::storage {
 namespace {
@@ -25,34 +23,6 @@ std::vector<uint8_t> Pattern(uint8_t fill) {
   std::vector<uint8_t> v(kPage, fill);
   return v;
 }
-
-RetryPolicy FastRetries(int max_attempts = 4) {
-  RetryPolicy p;
-  p.max_attempts = max_attempts;
-  p.initial_backoff = std::chrono::microseconds(0);
-  return p;
-}
-
-// A pager whose reads always fail with a fixed status; counts attempts.
-class FailingPager final : public Pager {
- public:
-  FailingPager(size_t page_size, Status status)
-      : Pager(page_size), status_(std::move(status)) {}
-
-  int read_calls = 0;
-
-  PageId num_pages() const override { return 1; }
-  Result<PageId> Allocate() override { return PageId{0}; }
-  Status Read(PageId, uint8_t*) override {
-    ++read_calls;
-    return status_;
-  }
-  Status Write(PageId, const uint8_t*) override { return Status::OK(); }
-  Status Sync() override { return Status::OK(); }
-
- private:
-  Status status_;
-};
 
 TEST(FaultInjectingPagerTest, TransientReadErrorFiresOnScheduleThenStops) {
   auto pager = MakeFaulty();
@@ -141,16 +111,6 @@ TEST(FaultInjectingPagerTest, TornWriteKeepsOldTail) {
   EXPECT_EQ(pager->fault_stats().torn_writes, 1u);
 }
 
-TEST(FaultInjectingPagerTest, SyncFailureFires) {
-  auto pager = MakeFaulty();
-  pager->AddRule(FaultRule{FaultKind::kSyncFailure, FaultOp::kSync,
-                           kAnyPage, /*after=*/0, /*every=*/1,
-                           /*limit=*/1});
-  EXPECT_TRUE(pager->Sync().IsIoError());
-  EXPECT_TRUE(pager->Sync().ok());
-  EXPECT_EQ(pager->fault_stats().sync_failures, 1u);
-}
-
 TEST(FaultInjectingPagerTest, ClearRulesStopsInjection) {
   auto pager = MakeFaulty();
   auto id = pager->Allocate();
@@ -162,77 +122,13 @@ TEST(FaultInjectingPagerTest, ClearRulesStopsInjection) {
   EXPECT_TRUE(pager->Read(*id, buf.data()).ok());
 }
 
-TEST(RetryingPagerTest, RecoversTransientErrorsWithinBudget) {
-  auto faulty = MakeFaulty();
-  FaultInjectingPager* fault_handle = faulty.get();
-  RetryingPager retrying(std::move(faulty), FastRetries(4));
-  auto id = retrying.Allocate();
-  ASSERT_TRUE(id.ok());
-  ASSERT_TRUE(retrying.Write(*id, Pattern(0x77).data()).ok());
-  // Two consecutive failures, then the third attempt succeeds.
-  fault_handle->AddRule(FaultRule{FaultKind::kTransientIoError,
-                                  FaultOp::kRead, kAnyPage, /*after=*/0,
-                                  /*every=*/1, /*limit=*/2});
-  IoStats sink;
-  retrying.set_stats_sink(&sink);
-  std::vector<uint8_t> buf(kPage);
-  ASSERT_TRUE(retrying.Read(*id, buf.data()).ok());
-  EXPECT_EQ(buf, Pattern(0x77));
-  EXPECT_EQ(retrying.retries(), 2u);
-  EXPECT_EQ(sink.retries, 2u);
-}
-
-TEST(RetryingPagerTest, GivesUpAfterBudgetOnPersistentErrors) {
-  auto faulty = MakeFaulty();
-  FaultInjectingPager* fault_handle = faulty.get();
-  RetryingPager retrying(std::move(faulty), FastRetries(3));
-  auto id = retrying.Allocate();
-  ASSERT_TRUE(id.ok());
-  fault_handle->AddRule(
-      FaultRule{FaultKind::kPersistentIoError, FaultOp::kRead});
-  std::vector<uint8_t> buf(kPage);
-  EXPECT_TRUE(retrying.Read(*id, buf.data()).IsIoError());
-  EXPECT_EQ(retrying.retries(), 2u);  // max_attempts=3 → 2 retries.
-  EXPECT_EQ(fault_handle->fault_stats().persistent_io_errors, 3u);
-}
-
-TEST(RetryingPagerTest, NeverRetriesCorruption) {
-  auto failing = std::make_unique<FailingPager>(
-      kPage, Status::Corruption("rotten page"));
-  FailingPager* handle = failing.get();
-  RetryingPager retrying(std::move(failing), FastRetries(5));
-  std::vector<uint8_t> buf(kPage);
-  EXPECT_TRUE(retrying.Read(0, buf.data()).IsCorruption());
-  EXPECT_EQ(handle->read_calls, 1);
-  EXPECT_EQ(retrying.retries(), 0u);
-}
-
-TEST(RetryingPagerTest, BacksOffExponentiallyWithCap) {
-  auto failing = std::make_unique<FailingPager>(
-      kPage, Status::IoError("flaky disk"));
-  RetryPolicy policy;
-  policy.max_attempts = 5;
-  policy.initial_backoff = std::chrono::microseconds(100);
-  policy.multiplier = 2.0;
-  policy.max_backoff = std::chrono::microseconds(300);
-  RetryingPager retrying(std::move(failing), policy);
-  std::vector<int64_t> sleeps;
-  retrying.set_sleep_fn([&](std::chrono::microseconds d) {
-    sleeps.push_back(d.count());
-  });
-  std::vector<uint8_t> buf(kPage);
-  EXPECT_TRUE(retrying.Read(0, buf.data()).IsIoError());
-  EXPECT_EQ(sleeps, (std::vector<int64_t>{100, 200, 300, 300}));
-}
-
 TEST(FaultToleranceTest, ChecksumLayerCatchesBitFlipThroughThePool) {
-  // Full stack: BufferPool (integrity) over Retry over Fault over Mem.
-  // A silent bit flip on the stored bytes must surface as Corruption,
-  // not as wrong data — and must NOT be retried.
+  // Full stack: BufferPool (integrity) over Fault over Mem. A silent
+  // bit flip on the stored bytes must surface as Corruption, not as
+  // wrong data.
   auto faulty = MakeFaulty();
   FaultInjectingPager* fault_handle = faulty.get();
-  RetryingPager retrying(std::move(faulty), FastRetries(4));
-  BufferPool pool(&retrying, 2);
+  BufferPool pool(fault_handle, 2);
   PageId id;
   {
     auto page = pool.New();
@@ -248,7 +144,7 @@ TEST(FaultToleranceTest, ChecksumLayerCatchesBitFlipThroughThePool) {
   auto fetch = pool.Fetch(id);
   ASSERT_FALSE(fetch.ok());
   EXPECT_TRUE(fetch.status().IsCorruption());
-  EXPECT_EQ(retrying.retries(), 0u);
+  EXPECT_EQ(fault_handle->fault_stats().bit_flips, 1u);
   EXPECT_EQ(pool.corrupt_pages().count(id), 1u);
 }
 

@@ -18,11 +18,11 @@ TEST(IoStatsTest, CopyAndSubtractSnapshotCounters) {
   a.physical_writes = 3;
   a.allocations = 2;
   a.checksum_failures = 1;
-  a.retries = 5;
+  a.evictions = 5;
 
   const IoStats copy = a;
   EXPECT_EQ(copy.logical_reads, 10u);
-  EXPECT_EQ(copy.retries, 5u);
+  EXPECT_EQ(copy.evictions, 5u);
 
   IoStats b = a;
   b.logical_reads += 7;
@@ -34,7 +34,7 @@ TEST(IoStatsTest, CopyAndSubtractSnapshotCounters) {
 
   b.Reset();
   EXPECT_EQ(b.logical_reads, 0u);
-  EXPECT_EQ(b.retries, 0u);
+  EXPECT_EQ(b.evictions, 0u);
 }
 
 // Counter increments are atomic, so hammering the same IoStats from many
@@ -89,11 +89,11 @@ TEST(IoSnapshotTest, SnapshotCapturesAndSubtracts) {
   stats.physical_writes = 3;
   stats.allocations = 2;
   stats.checksum_failures = 1;
-  stats.retries = 5;
+  stats.evictions = 5;
 
   const IoSnapshot before = stats.Snapshot();
   EXPECT_EQ(before.logical_reads, 10u);
-  EXPECT_EQ(before.retries, 5u);
+  EXPECT_EQ(before.evictions, 5u);
 
   stats.logical_reads += 7;
   stats.physical_writes += 1;

@@ -2,16 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <string>
 #include <vector>
 
 namespace vitri::storage {
 namespace {
-
-std::string TempPath(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
-}
 
 std::vector<uint8_t> Pattern(size_t size, uint8_t salt) {
   std::vector<uint8_t> buf(size);
@@ -55,87 +49,6 @@ TEST(MemPagerTest, OutOfRangeAccessFails) {
   std::vector<uint8_t> buf(128);
   EXPECT_TRUE(pager.Read(0, buf.data()).IsOutOfRange());
   EXPECT_TRUE(pager.Write(3, buf.data()).IsOutOfRange());
-}
-
-TEST(FilePagerTest, CreateWriteReopenRead) {
-  const std::string path = TempPath("filepager_roundtrip.db");
-  std::remove(path.c_str());
-  const auto data0 = Pattern(512, 1);
-  const auto data1 = Pattern(512, 2);
-  {
-    auto pager = FilePager::Open(path, 512);
-    ASSERT_TRUE(pager.ok());
-    ASSERT_TRUE((*pager)->Allocate().ok());
-    ASSERT_TRUE((*pager)->Allocate().ok());
-    ASSERT_TRUE((*pager)->Write(0, data0.data()).ok());
-    ASSERT_TRUE((*pager)->Write(1, data1.data()).ok());
-    ASSERT_TRUE((*pager)->Sync().ok());
-  }
-  {
-    auto pager = FilePager::Open(path, 512);
-    ASSERT_TRUE(pager.ok());
-    EXPECT_EQ((*pager)->num_pages(), 2u);
-    std::vector<uint8_t> out(512);
-    ASSERT_TRUE((*pager)->Read(0, out.data()).ok());
-    EXPECT_EQ(out, data0);
-    ASSERT_TRUE((*pager)->Read(1, out.data()).ok());
-    EXPECT_EQ(out, data1);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(FilePagerTest, RejectsMisalignedFile) {
-  const std::string path = TempPath("filepager_misaligned.db");
-  {
-    FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fputs("not a page multiple", f);
-    std::fclose(f);
-  }
-  auto pager = FilePager::Open(path, 4096);
-  EXPECT_FALSE(pager.ok());
-  EXPECT_TRUE(pager.status().IsCorruption());
-  std::remove(path.c_str());
-}
-
-TEST(FilePagerTest, OutOfRangeAccessFails) {
-  const std::string path = TempPath("filepager_oor.db");
-  std::remove(path.c_str());
-  auto pager = FilePager::Open(path, 256);
-  ASSERT_TRUE(pager.ok());
-  std::vector<uint8_t> buf(256);
-  EXPECT_TRUE((*pager)->Read(0, buf.data()).IsOutOfRange());
-  std::remove(path.c_str());
-}
-
-TEST(FilePagerTest, SyncModesAllReachDisk) {
-  // Write-then-sync must succeed under every durability mode, and the
-  // pager must report the mode it was opened with.
-  const FileSyncMode modes[] = {FileSyncMode::kFsync,
-                                FileSyncMode::kFdatasync,
-                                FileSyncMode::kNone};
-  for (FileSyncMode mode : modes) {
-    const std::string path = TempPath(
-        (std::string("filepager_sync_") + FileSyncModeName(mode) + ".db")
-            .c_str());
-    std::remove(path.c_str());
-    auto pager = FilePager::Open(path, 256, mode);
-    ASSERT_TRUE(pager.ok()) << FileSyncModeName(mode);
-    EXPECT_EQ((*pager)->sync_mode(), mode);
-    auto id = (*pager)->Allocate();
-    ASSERT_TRUE(id.ok());
-    std::vector<uint8_t> buf(256, uint8_t{0x5c});
-    ASSERT_TRUE((*pager)->Write(*id, buf.data()).ok());
-    ASSERT_TRUE((*pager)->Sync().ok()) << FileSyncModeName(mode);
-    // The page reads back after a reopen regardless of mode.
-    pager->reset();
-    auto reopened = FilePager::Open(path, 256, mode);
-    ASSERT_TRUE(reopened.ok());
-    std::vector<uint8_t> read(256);
-    ASSERT_TRUE((*reopened)->Read(*id, read.data()).ok());
-    EXPECT_EQ(read, buf);
-    std::remove(path.c_str());
-  }
 }
 
 }  // namespace

@@ -8,11 +8,9 @@
 //                   [--k 10] [--epsilon 0.15] [--method composed|naive]
 //                   [--threads N] [--trace] [--json]
 //                   [--pool-shards N] [--index-shards N]
-//   vitri verify    [--summary summary.vsnp] [--pages tree.vpag
-//                   [--page-size 4096]]
-//   vitri check     [--summary summary.vsnp [--epsilon E] [--deep]
-//                   [--strict-frames 0|1]] [--pages tree.vpag
-//                   [--page-size 4096]]
+//   vitri verify    --summary summary.vsnp
+//   vitri check     --summary summary.vsnp [--epsilon E] [--deep]
+//                   [--strict-frames 0|1]
 //   vitri recover   --dir index_dir [--epsilon E] [--checkpoint] [--json]
 //
 // `generate` writes a synthetic TV-ad database; `summarize` builds the
@@ -21,9 +19,9 @@
 // small built-in workload first so the registry has data to show;
 // `query` indexes the snapshot and searches with a near-duplicate of
 // the named database video (`--trace` prints the per-stage spans);
-// `verify` checks snapshot and page-file checksums offline; `check`
-// runs the deep invariant validators (core/validate.h and the
-// structural self-checks) on a snapshot and/or a B+-tree page file;
+// `verify` checks a snapshot's checksum offline; `check` runs the deep
+// invariant validators (core/validate.h and, with `--deep`, the
+// structural self-checks of an index rebuilt from the snapshot);
 // `recover` opens a durable index directory (DESIGN.md §13), replays
 // its WAL, repairs any torn tail, validates invariants, and with
 // `--checkpoint` folds the log into a fresh snapshot generation.
@@ -35,7 +33,6 @@
 #include <string>
 #include <vector>
 
-#include "btree/bplus_tree.h"
 #include "common/json.h"
 #include "common/metrics.h"
 #include "common/simd_policy.h"
@@ -46,8 +43,6 @@
 #include "core/snapshot.h"
 #include "core/validate.h"
 #include "core/vitri_builder.h"
-#include "storage/buffer_pool.h"
-#include "storage/pager.h"
 #include "video/serialization.h"
 #include "video/synthesizer.h"
 
@@ -387,119 +382,62 @@ int CmdQuery(const Args& args) {
 
 int CmdVerify(const Args& args) {
   const char* snapshot = args.Get("--summary", nullptr);
-  const char* pages = args.Get("--pages", nullptr);
-  if (snapshot == nullptr && pages == nullptr) {
-    std::fprintf(stderr,
-                 "verify: at least one of --summary or --pages is "
-                 "required\n");
+  if (snapshot == nullptr) {
+    std::fprintf(stderr, "verify: --summary is required\n");
     return 2;
   }
-  int rc = 0;
-  if (snapshot != nullptr) {
-    auto set = core::LoadViTriSet(snapshot);
-    if (set.ok()) {
-      std::printf("%s: OK (%zu ViTris over %zu videos)\n", snapshot,
-                  set->size(), set->frame_counts.size());
-    } else {
-      std::fprintf(stderr, "%s: %s\n", snapshot,
-                   set.status().ToString().c_str());
-      rc = 1;
-    }
+  auto set = core::LoadViTriSet(snapshot);
+  if (!set.ok()) {
+    std::fprintf(stderr, "%s: %s\n", snapshot,
+                 set.status().ToString().c_str());
+    return 1;
   }
-  if (pages != nullptr) {
-    const size_t page_size =
-        static_cast<size_t>(args.GetLong("--page-size", 4096));
-    auto pager = storage::FilePager::Open(pages, page_size);
-    if (!pager.ok()) return Fail(pager.status());
-    auto report = storage::VerifyAllPages(pager->get());
-    if (!report.ok()) return Fail(report.status());
-    std::printf("%s: %llu pages scanned, %zu corrupt, %llu unstamped\n",
-                pages,
-                static_cast<unsigned long long>(report->pages_scanned),
-                report->corrupt.size(),
-                static_cast<unsigned long long>(report->unstamped));
-    for (storage::PageId id : report->corrupt) {
-      std::printf("  corrupt page %llu\n",
-                  static_cast<unsigned long long>(id));
-    }
-    if (!report->clean()) rc = 1;
-  }
-  return rc;
+  std::printf("%s: OK (%zu ViTris over %zu videos)\n", snapshot,
+              set->size(), set->frame_counts.size());
+  return 0;
 }
 
 // Deep invariant audit: every validator the library runs as a debug
-// self-check, applied offline to persisted artifacts.
+// self-check, applied offline to a snapshot.
 int CmdCheck(const Args& args) {
   const char* snapshot = args.Get("--summary", nullptr);
-  const char* pages = args.Get("--pages", nullptr);
-  if (snapshot == nullptr && pages == nullptr) {
-    std::fprintf(stderr,
-                 "check: at least one of --summary or --pages is "
-                 "required\n");
+  if (snapshot == nullptr) {
+    std::fprintf(stderr, "check: --summary is required\n");
     return 2;
   }
-  int rc = 0;
-  if (snapshot != nullptr) {
-    auto set = core::LoadViTriSet(snapshot);
-    if (!set.ok()) return Fail(set.status());
-    core::ViTriCheckOptions co;
-    // <= 0 skips the radius-cap check; pass the build-time epsilon to
-    // also prove every refined radius obeys R <= epsilon / 2.
-    co.epsilon = args.GetDouble("--epsilon", 0.0);
-    co.check_frame_accounting = args.GetLong("--strict-frames", 1) != 0;
-    Status s = core::ValidateViTriSet(*set, co);
-    if (s.ok()) s = core::ValidateSnapshotRoundTrip(*set);
-    if (!s.ok()) {
-      std::fprintf(stderr, "%s: %s\n", snapshot, s.ToString().c_str());
-      rc = 1;
-    } else {
-      std::printf("%s: summary invariants OK (%zu ViTris over %zu "
-                  "videos)\n",
-                  snapshot, set->size(), set->frame_counts.size());
-      if (args.Has("--deep")) {
-        // Rebuild the index from the snapshot and run the full
-        // structural audit: B+-tree, buffer pool, and record-level
-        // agreement between tree and summary.
-        core::ViTriIndexOptions io;
-        io.dimension = set->dimension;
-        if (co.epsilon > 0.0) io.epsilon = co.epsilon;
-        auto index = core::ViTriIndex::Build(*set, io);
-        if (!index.ok()) return Fail(index.status());
-        const Status deep = index->ValidateInvariants();
-        if (!deep.ok()) {
-          std::fprintf(stderr, "%s: %s\n", snapshot,
-                       deep.ToString().c_str());
-          rc = 1;
-        } else {
-          std::printf("%s: index invariants OK (height %u, %llu "
-                      "records)\n",
-                      snapshot, index->tree_height(),
-                      static_cast<unsigned long long>(index->num_vitris()));
-        }
-      }
-    }
+  auto set = core::LoadViTriSet(snapshot);
+  if (!set.ok()) return Fail(set.status());
+  core::ViTriCheckOptions co;
+  // <= 0 skips the radius-cap check; pass the build-time epsilon to
+  // also prove every refined radius obeys R <= epsilon / 2.
+  co.epsilon = args.GetDouble("--epsilon", 0.0);
+  co.check_frame_accounting = args.GetLong("--strict-frames", 1) != 0;
+  Status s = core::ValidateViTriSet(*set, co);
+  if (s.ok()) s = core::ValidateSnapshotRoundTrip(*set);
+  if (!s.ok()) {
+    std::fprintf(stderr, "%s: %s\n", snapshot, s.ToString().c_str());
+    return 1;
   }
-  if (pages != nullptr) {
-    const size_t page_size =
-        static_cast<size_t>(args.GetLong("--page-size", 4096));
-    auto pager = storage::FilePager::Open(pages, page_size);
-    if (!pager.ok()) return Fail(pager.status());
-    storage::BufferPool pool(pager->get(), 256);
-    auto tree = btree::BPlusTree::Open(&pool);
-    if (!tree.ok()) return Fail(tree.status());
-    btree::TreeCheckOptions to;
-    to.verify_checksums = true;
-    const Status s = tree->ValidateInvariants(to);
-    if (!s.ok()) {
-      std::fprintf(stderr, "%s: %s\n", pages, s.ToString().c_str());
-      rc = 1;
-    } else {
-      std::printf("%s: tree invariants OK (height %u, %llu records)\n",
-                  pages, tree->height(),
-                  static_cast<unsigned long long>(tree->num_entries()));
-    }
+  std::printf("%s: summary invariants OK (%zu ViTris over %zu videos)\n",
+              snapshot, set->size(), set->frame_counts.size());
+  if (!args.Has("--deep")) return 0;
+  // Rebuild the index from the snapshot and run the full structural
+  // audit: B+-tree, buffer pool, and record-level agreement between
+  // tree and summary.
+  core::ViTriIndexOptions io;
+  io.dimension = set->dimension;
+  if (co.epsilon > 0.0) io.epsilon = co.epsilon;
+  auto index = core::ViTriIndex::Build(*set, io);
+  if (!index.ok()) return Fail(index.status());
+  const Status deep = index->ValidateInvariants();
+  if (!deep.ok()) {
+    std::fprintf(stderr, "%s: %s\n", snapshot, deep.ToString().c_str());
+    return 1;
   }
-  return rc;
+  std::printf("%s: index invariants OK (height %u, %llu records)\n",
+              snapshot, index->tree_height(),
+              static_cast<unsigned long long>(index->num_vitris()));
+  return 0;
 }
 
 int CmdRecover(const Args& args) {
@@ -584,11 +522,9 @@ void Usage() {
                "            [--pool-shards N]\n"
                "            [--index-shards N  scatter-gather across N "
                "index shards]\n"
-               "  verify    [--summary s.vsnp] [--pages tree.vpag "
-               "[--page-size N]]\n"
-               "  check     [--summary s.vsnp [--epsilon E] [--deep] "
-               "[--strict-frames 0|1]]\n"
-               "            [--pages tree.vpag [--page-size N]]\n"
+               "  verify    --summary s.vsnp\n"
+               "  check     --summary s.vsnp [--epsilon E] [--deep] "
+               "[--strict-frames 0|1]\n"
                "  recover   --dir index_dir [--epsilon E] [--checkpoint] "
                "[--json]\n"
                "global flags:\n"
