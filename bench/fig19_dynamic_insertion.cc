@@ -14,6 +14,7 @@
 
 #include "common/metrics.h"
 #include "common/stopwatch.h"
+#include "common/thread_pool.h"
 #include "core/index.h"
 #include "core/vitri_builder.h"
 #include "harness/bench_common.h"
@@ -187,8 +188,10 @@ int main() {
     writer_done.store(true, std::memory_order_release);
   });
   uint64_t query_rounds = 0;
+  ThreadPool query_pool(4);
   while (!writer_done.load(std::memory_order_acquire)) {
-    if (!durable_index->BatchKnn(batch_queries, 50, KnnMethod::kComposed, 4)
+    if (!durable_index
+             ->BatchKnn(batch_queries, 50, KnnMethod::kComposed, &query_pool)
              .ok()) {
       break;
     }

@@ -91,15 +91,6 @@
 // Functions that must NOT be called with the capability held.
 #define VITRI_EXCLUDES(...) VITRI_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
 
-// Asserts (to the analysis, with no runtime effect) that the calling
-// thread already holds the capability. Used where a hold is established
-// by a caller on a *different* stack — e.g. BatchKnn's orchestrator
-// holds the shared index latch for its worker tasks.
-#define VITRI_ASSERT_CAPABILITY(x) \
-  VITRI_THREAD_ANNOTATION(assert_capability(x))
-#define VITRI_ASSERT_SHARED_CAPABILITY(x) \
-  VITRI_THREAD_ANNOTATION(assert_shared_capability(x))
-
 // Functions returning a reference to a capability.
 #define VITRI_RETURN_CAPABILITY(x) VITRI_THREAD_ANNOTATION(lock_returned(x))
 
@@ -125,10 +116,6 @@ class VITRI_CAPABILITY("mutex") Mutex {
   void Unlock() VITRI_RELEASE() { mu_.unlock(); }
   bool TryLock() VITRI_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
-  // Tells the analysis the lock is held without acquiring it. No runtime
-  // effect; use only where the hold is structurally guaranteed.
-  void AssertHeld() const VITRI_ASSERT_CAPABILITY(this) {}
-
  private:
   friend class CondVar;
   friend class MutexLock;
@@ -153,9 +140,6 @@ class VITRI_CAPABILITY("shared_mutex") SharedMutex {
   bool TryLockShared() VITRI_TRY_ACQUIRE_SHARED(true) {
     return mu_.try_lock_shared();
   }
-
-  void AssertHeld() const VITRI_ASSERT_CAPABILITY(this) {}
-  void AssertHeldShared() const VITRI_ASSERT_SHARED_CAPABILITY(this) {}
 
  private:
   std::shared_mutex mu_;

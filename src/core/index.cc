@@ -1,7 +1,6 @@
 #include "core/index.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <memory>
 #include <span>
@@ -79,16 +78,53 @@ void FinishCosts(const IoTally& tally, const Stopwatch& watch,
   costs->cpu_seconds = watch.ElapsedSeconds();
 }
 
-// The k best matches: similarity descending, ties by video id ascending.
-std::vector<VideoMatch> TopK(std::vector<VideoMatch> matches, size_t k) {
-  std::sort(matches.begin(), matches.end(),
-            [](const VideoMatch& a, const VideoMatch& b) {
-              return a.similarity > b.similarity ||
-                     (a.similarity == b.similarity &&
-                      a.video_id < b.video_id);
-            });
-  if (matches.size() > k) matches.resize(k);
-  return matches;
+// The repo-wide result order: similarity descending, video id
+// ascending.
+bool BetterMatch(const VideoMatch& a, const VideoMatch& b) {
+  return a.similarity > b.similarity ||
+         (a.similarity == b.similarity && a.video_id < b.video_id);
+}
+
+// Merges per-shard top-k lists (each sorted best-first) into one global
+// top-k with a bounded heap: the heap holds at most k matches with the
+// *worst* retained match on top, so each candidate costs O(log k) and a
+// sorted input list is abandoned at the first element that cannot
+// improve the heap. Every video id appears in exactly one shard, so the
+// (similarity, id) order is total and the merge is independent of the
+// order the lists arrive in.
+std::vector<VideoMatch> MergeTopK(
+    std::span<const std::vector<VideoMatch>> lists, size_t k) {
+  std::vector<VideoMatch> heap;
+  if (k == 0) return heap;
+  for (const std::vector<VideoMatch>& list : lists) {
+    for (const VideoMatch& m : list) {
+      if (heap.size() < k) {
+        heap.push_back(m);
+        std::push_heap(heap.begin(), heap.end(), BetterMatch);
+      } else if (BetterMatch(m, heap.front())) {
+        std::pop_heap(heap.begin(), heap.end(), BetterMatch);
+        heap.back() = m;
+        std::push_heap(heap.begin(), heap.end(), BetterMatch);
+      } else {
+        break;  // Sorted best-first: nothing later in this list fits.
+      }
+    }
+  }
+  std::sort_heap(heap.begin(), heap.end(), BetterMatch);
+  return heap;
+}
+
+// Fails with InvalidArgument when the smallest shard of the pool
+// `options` describe would hold fewer than kMinPoolShardFrames frames.
+Status CheckPoolShardFrames(const ViTriIndexOptions& options) {
+  const size_t frames = std::max<size_t>(options.buffer_pool_pages, 1);
+  const size_t shards =
+      storage::ResolvePoolShards(frames, options.buffer_pool_options);
+  if (frames / shards >= kMinPoolShardFrames) return Status::OK();
+  return Status::InvalidArgument(
+      "a buffer pool of " + std::to_string(frames) + " frames in " +
+      std::to_string(shards) + " shards leaves a shard with fewer than " +
+      std::to_string(kMinPoolShardFrames) + " frames");
 }
 
 }  // namespace
@@ -108,6 +144,7 @@ Result<ViTriIndex> ViTriIndex::Build(const ViTriSet& set,
   if (set.dimension != options.dimension) {
     return Status::InvalidArgument("dimension mismatch");
   }
+  VITRI_RETURN_IF_ERROR(CheckPoolShardFrames(options));
   for (const ViTri& v : set.vitris) {
     if (v.dimension() != options.dimension) {
       return Status::InvalidArgument("ViTri dimension mismatch");
@@ -249,7 +286,9 @@ std::vector<VideoMatch> ViTriIndex::RankResults(
         0.0, 1.0);
     matches.push_back(VideoMatch{vid, sim});
   }
-  return TopK(std::move(matches), k);
+  std::sort(matches.begin(), matches.end(), BetterMatch);
+  if (matches.size() > k) matches.resize(k);
+  return matches;
 }
 
 Status ViTriIndex::KnnScanTree(const std::vector<ViTri>& query,
@@ -347,9 +386,10 @@ void ViTriIndex::EvaluateInMemory(std::string_view caller, const Status& cause,
   }
 }
 
-Result<std::vector<VideoMatch>> ViTriIndex::KnnCompute(
+Result<std::vector<VideoMatch>> ViTriIndex::KnnUnrecorded(
     const std::vector<ViTri>& query, uint32_t query_frames, size_t k,
     KnnMethod method, QueryCosts* costs, QueryTrace* trace) const {
+  ReaderLock lock(*latch_);
   Stopwatch watch;
   if (trace != nullptr) trace->Begin();
   IoTally tally;
@@ -385,17 +425,10 @@ Result<std::vector<VideoMatch>> ViTriIndex::KnnCompute(
   return matches;
 }
 
-Result<std::vector<VideoMatch>> ViTriIndex::KnnUnrecorded(
-    const std::vector<ViTri>& query, uint32_t query_frames, size_t k,
-    KnnMethod method, QueryCosts* costs, QueryTrace* trace) const {
-  VITRI_RETURN_IF_ERROR(CheckQueryViTris(query, options_.dimension));
-  ReaderLock lock(*latch_);
-  return KnnCompute(query, query_frames, k, method, costs, trace);
-}
-
 Result<std::vector<VideoMatch>> ViTriIndex::Knn(
     const std::vector<ViTri>& query, uint32_t query_frames, size_t k,
     KnnMethod method, QueryCosts* costs, QueryTrace* trace) {
+  VITRI_RETURN_IF_ERROR(CheckQueryViTris(query, options_.dimension));
   QueryCosts local;
   auto result = KnnUnrecorded(query, query_frames, k, method, &local, trace);
   if (!result.ok()) return result;
@@ -404,70 +437,75 @@ Result<std::vector<VideoMatch>> ViTriIndex::Knn(
   return result;
 }
 
+Result<std::vector<std::vector<VideoMatch>>> ViTriIndex::ScatterKnn(
+    std::span<const ViTriIndex* const> shards,
+    std::span<const BatchQuery> queries, size_t k, KnnMethod method,
+    ThreadPool* executor, QueryCosts* costs,
+    std::vector<QueryCosts>* task_costs, std::vector<QueryTrace>* traces) {
+  Stopwatch watch;
+  const size_t num_shards = shards.size();
+  const size_t tasks = queries.size() * num_shards;
+  // Scatter. Each task reads only shared index state and writes only its
+  // own slots (list, costs, status, trace, and its own IoTally inside
+  // KnnUnrecorded), so every task's result and page counts are what the
+  // query computes alone, whatever the scheduling.
+  std::vector<std::vector<VideoMatch>> lists(tasks);
+  std::vector<QueryCosts> spent(tasks);
+  std::vector<Status> statuses(tasks);
+  if (traces != nullptr) {
+    traces->clear();
+    traces->resize(tasks);
+  }
+  const auto run_task = [&](size_t t) {
+    const BatchQuery& query = queries[t / num_shards];
+    auto matches = shards[t % num_shards]->KnnUnrecorded(
+        query.vitris, query.num_frames, k, method, &spent[t],
+        traces == nullptr ? nullptr : &(*traces)[t]);
+    if (matches.ok()) {
+      lists[t] = std::move(*matches);
+    } else {
+      statuses[t] = matches.status();
+    }
+  };
+  if (executor == nullptr || tasks <= 1) {
+    for (size_t t = 0; t < tasks; ++t) run_task(t);
+  } else {
+    executor->ParallelFor(tasks, run_task);
+  }
+  for (const Status& status : statuses) VITRI_RETURN_IF_ERROR(status);
+
+  // Gather. A query's costs are the sum of its tasks', and the batch's
+  // the sum of them all. A query's tasks may run among other queries'
+  // tasks, so its latency sample is the time its tasks took, not a wall
+  // time of its own.
+  std::vector<std::vector<VideoMatch>> results(queries.size());
+  QueryCosts total;
+  for (size_t q = 0; q < queries.size(); ++q) {
+    const size_t first = q * num_shards;
+    results[q] = MergeTopK(std::span(lists).subspan(first, num_shards), k);
+    QueryCosts query_costs;
+    for (size_t t = first; t < first + num_shards; ++t) {
+      query_costs += spent[t];
+    }
+    RecordKnnQuery(query_costs);
+    total += query_costs;
+  }
+  total.cpu_seconds = watch.ElapsedSeconds();
+  if (costs != nullptr) *costs = total;
+  if (task_costs != nullptr) *task_costs = std::move(spent);
+  return results;
+}
+
 Result<std::vector<std::vector<VideoMatch>>> ViTriIndex::BatchKnn(
-    const std::vector<BatchQuery>& queries, size_t k, KnnMethod method,
-    size_t num_threads, QueryCosts* costs,
+    std::span<const BatchQuery> queries, size_t k, KnnMethod method,
+    ThreadPool* executor, QueryCosts* costs,
     std::vector<QueryTrace>* traces) {
   for (const BatchQuery& q : queries) {
     VITRI_RETURN_IF_ERROR(CheckQueryViTris(q.vitris, options_.dimension));
   }
-  // One shared acquisition spans the whole batch; the workers below
-  // must NOT take the latch themselves — a writer arriving mid-batch
-  // could otherwise wedge between the orchestrator's hold and a
-  // worker's acquisition on writer-priority shared_mutex builds.
-  ReaderLock lock(*latch_);
-  Stopwatch watch;
-  const size_t n = queries.size();
-  std::vector<std::vector<VideoMatch>> results(n);
-  std::vector<Status> statuses(n, Status::OK());
-  std::vector<QueryCosts> locals(n);
-  if (traces != nullptr) {
-    traces->clear();
-    traces->resize(n);
-  }
-
-  // Each worker reads shared index state (transform, tree, in-memory
-  // ViTris) and writes only its own slots — including its own trace and
-  // its own I/O tally — so the fan-out is race-free and the per-query
-  // computation — hence the result and the page counts — is identical
-  // to the sequential path whatever the scheduling. The query metrics
-  // are lock-free (atomic buckets), so every worker records its own.
-  auto run_one = [&](size_t i) {
-    // The orchestrator's single ReaderLock above covers every worker for
-    // the batch's whole lifetime (ParallelFor joins before it unlocks);
-    // assert that hold to the analysis instead of re-acquiring, which
-    // the fan-out contract above forbids.
-    latch_->AssertHeldShared();
-    QueryTrace* trace = traces == nullptr ? nullptr : &(*traces)[i];
-    auto result = KnnCompute(queries[i].vitris, queries[i].num_frames, k,
-                             method, &locals[i], trace);
-    if (!result.ok()) {
-      statuses[i] = result.status();
-      return;
-    }
-    RecordKnnQuery(locals[i]);
-    results[i] = std::move(*result);
-  };
-
-  if (num_threads <= 1 || n <= 1) {
-    for (size_t i = 0; i < n; ++i) run_one(i);
-  } else {
-    ThreadPool pool(std::min(num_threads, n));
-    pool.ParallelFor(n, run_one);
-  }
-
-  for (const Status& s : statuses) {
-    VITRI_RETURN_IF_ERROR(s);
-  }
-
-  VITRI_METRIC_COUNTER("query.batch.count")->Increment();
-  if (costs != nullptr) {
-    QueryCosts total;
-    for (const QueryCosts& local : locals) total += local;
-    total.cpu_seconds = watch.ElapsedSeconds();
-    *costs = total;
-  }
-  return results;
+  const ViTriIndex* const self = this;
+  return ScatterKnn({&self, 1}, queries, k, method, executor, costs,
+                    /*task_costs=*/nullptr, traces);
 }
 
 Result<std::vector<VideoMatch>> ViTriIndex::SequentialScan(
@@ -504,79 +542,6 @@ Result<std::vector<VideoMatch>> ViTriIndex::SequentialScan(
   FinishCosts(tally, watch, &local);
   if (costs != nullptr) *costs = local;
   return result;
-}
-
-Result<std::vector<VideoMatch>> ViTriIndex::FrameSearch(
-    linalg::VecView frame, double epsilon, size_t k, QueryCosts* costs) {
-  ReaderLock lock(*latch_);
-  if (frame.size() != static_cast<size_t>(options_.dimension)) {
-    return Status::InvalidArgument("frame dimension mismatch");
-  }
-  // Negated so that a NaN epsilon, which passes `epsilon <= 0`, fails.
-  if (!(epsilon > 0.0 && std::isfinite(epsilon))) {
-    return Status::InvalidArgument("epsilon must be positive and finite");
-  }
-  for (const double x : frame) {
-    if (!std::isfinite(x)) {
-      return Status::InvalidArgument("frame has a non-finite coordinate");
-    }
-  }
-  Stopwatch watch;
-  IoTally tally;
-  QueryCosts local;
-  local.range_searches = 1;
-
-  // A stored ViTri can contain matching frames only if its ball
-  // intersects ball(frame, epsilon): d(O, frame) < epsilon + R with
-  // R <= options.epsilon / 2, so the key range radius is
-  // epsilon + options.epsilon / 2 by the triangle inequality.
-  const double key = transform_->Key(frame);
-  const double gamma = epsilon + options_.epsilon / 2.0;
-
-  std::vector<double> matches_by_video(frame_counts_.size(), 0.0);
-  auto evaluate = [&](const ViTri& candidate) {
-    ++local.similarity_evals;
-    const double est = EstimatedMatchingFrames(frame, epsilon, candidate);
-    if (est > 0.0 && candidate.video_id < matches_by_video.size()) {
-      matches_by_video[candidate.video_id] += est;
-    }
-  };
-  auto scan = tree_->RangeScan(
-      key - gamma, key + gamma,
-      [&](double /*key*/, uint64_t /*rid*/,
-          std::span<const uint8_t> value) {
-        ++local.candidates;
-        auto candidate = ViTri::Deserialize(value, options_.dimension);
-        if (candidate.ok()) evaluate(*candidate);
-        return true;
-      },
-      &tally);
-  if (scan.status().IsCorruption()) {
-    VITRI_LOG(kWarn) << "FrameSearch degraded to in-memory evaluation: "
-                        << scan.status().ToString();
-    local.degraded = true;
-    local.candidates = 0;
-    local.similarity_evals = 0;
-    std::fill(matches_by_video.begin(), matches_by_video.end(), 0.0);
-    for (const ViTri& candidate : vitris_) {
-      ++local.candidates;
-      evaluate(candidate);
-    }
-  } else {
-    VITRI_RETURN_IF_ERROR(scan.status());
-  }
-
-  std::vector<VideoMatch> out;
-  for (uint32_t vid = 0; vid < matches_by_video.size(); ++vid) {
-    if (matches_by_video[vid] > 0.0) {
-      out.push_back(VideoMatch{vid, matches_by_video[vid]});
-    }
-  }
-  out = TopK(std::move(out), k);
-
-  FinishCosts(tally, watch, &local);
-  if (costs != nullptr) *costs = local;
-  return out;
 }
 
 namespace {

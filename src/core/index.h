@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -18,6 +19,10 @@
 #include "storage/buffer_pool.h"
 #include "storage/pager.h"
 #include "storage/wal.h"
+
+namespace vitri {
+class ThreadPool;
+}  // namespace vitri
 
 namespace vitri::core {
 
@@ -34,7 +39,9 @@ struct ViTriIndexOptions {
   double margin_factor = 2.0;
   /// Page size of the backing store (paper: 4K).
   size_t page_size = 4096;
-  /// Buffer pool frames.
+  /// Buffer pool frames. Build() and Open() reject a pool whose
+  /// smallest shard (see buffer_pool_options) would hold fewer than
+  /// kMinPoolShardFrames of them.
   size_t buffer_pool_pages = 256;
   /// First-principal-component drift (radians) beyond which
   /// NeedsRebuild() reports true (Section 6.3.3 policy).
@@ -57,6 +64,12 @@ struct ViTriIndexOptions {
       const std::vector<linalg::Vec>& points)>
       transform_factory;
 };
+
+/// The fewest frames a buffer-pool shard of an index may hold. An insert
+/// keeps the pages of the root-to-leaf path and the split siblings
+/// pinned at once, and they can all hash to one shard; a shard with
+/// fewer frames runs out mid-split and leaves the tree half-updated.
+inline constexpr size_t kMinPoolShardFrames = 8;
 
 /// Configuration of the durable-ingest subsystem (EnableDurability /
 /// Open). A durable index directory holds, per DESIGN.md §13:
@@ -135,9 +148,9 @@ struct QueryCosts {
 
 /// Records one answered KNN query in the query.knn.* metrics: the count,
 /// latency_us (from cpu_seconds) and pages (page_accesses). Every query
-/// is recorded once: ViTriIndex::Knn and each BatchKnn query record
-/// themselves, and a sharded index records each merged query (its
-/// shards record nothing).
+/// is recorded once: ViTriIndex::Knn records itself, and the scatter
+/// behind every BatchKnn and sharded Knn records each merged query with
+/// the summed costs of its shard tasks.
 void RecordKnnQuery(const QueryCosts& costs);
 
 /// One KNN result row.
@@ -147,7 +160,7 @@ struct VideoMatch {
   double similarity = 0.0;
 };
 
-/// One query of a BatchKnn() fan-out: a query video's summary plus its
+/// One query of a BatchKnn() batch: a query video's summary plus its
 /// frame count (for similarity normalization).
 struct BatchQuery {
   std::vector<ViTri> vitris;
@@ -157,16 +170,15 @@ struct BatchQuery {
 /// The paper's index: ViTri positions mapped to one-dimensional keys by
 /// a reference-point transform and stored in a disk-paged B+-tree whose
 /// leaves carry the full triplets. Supports bulk build, dynamic insert,
-/// naive and composed KNN search (single query or a batch fanned across
-/// a thread pool), a sequential-scan baseline, and the PCA-drift rebuild
-/// policy.
+/// naive and composed KNN search (single query or a batch scattered on
+/// a caller-owned thread pool), a sequential-scan baseline, and the
+/// PCA-drift rebuild policy.
 ///
 /// Thread-safety: the index carries a reader-writer latch, so online
-/// Insert() is safe while queries run. Queries (Knn, BatchKnn,
-/// SequentialScan, FrameSearch, Snapshot) take it shared — BatchKnn
-/// holds ONE shared acquisition for the whole batch and its workers
-/// take no locks of their own — while Insert, Rebuild, Checkpoint,
-/// DropCaches, and ValidateInvariants take it exclusive. Writers are
+/// Insert() is safe while queries run. Queries (Knn, each query of a
+/// BatchKnn, SequentialScan, Snapshot) take it shared, each for its own
+/// duration, while Insert, Rebuild, Checkpoint, DropCaches, and
+/// ValidateInvariants take it exclusive. Writers are
 /// thereby serialized with each other and with queries at the index
 /// granularity; see DESIGN.md §13 for why finer-grained latching is
 /// deferred.
@@ -257,22 +269,20 @@ class ViTriIndex {
                                       QueryTrace* trace = nullptr)
       VITRI_EXCLUDES(*latch_);
 
-  /// Fans the batch's queries across `num_threads` worker threads, each
-  /// running the same per-query KNN (with per-query query composition)
-  /// as Knn(). Results are indexed like `queries` and bit-identical to
-  /// calling Knn() sequentially on each query: every query accumulates
-  /// into its own buffers in the same order regardless of scheduling.
-  /// num_threads <= 1 runs inline (no pool); 0 is treated as 1.
-  /// `costs`, if given, aggregates the whole batch: cpu_seconds is the
-  /// batch wall time, every other counter is the sum of the queries'
-  /// own (page counts included, each from its query's IoTally).
-  /// `traces`, if given, is resized to queries.size() and trace i is
-  /// filled by the worker running query i (each trace is written by
-  /// exactly one worker, with query i's own I/O). Each query is recorded
-  /// in the query.knn.* metrics, as Knn() records its one.
+  /// The batch's queries as one-shard scatter tasks (ScatterKnn) on the
+  /// caller's `executor`, inline when it is null. Each task runs the
+  /// same per-query KNN as Knn() under its own shared latch hold, so an
+  /// insert may land between two queries of a batch. Results are indexed
+  /// like `queries` and bit-identical to calling Knn() sequentially on
+  /// each query, whatever the executor. `costs`, if given, aggregates
+  /// the batch: cpu_seconds is the batch wall time, every other counter
+  /// the sum of the queries' own (page counts from their own IoTally).
+  /// `traces`, if given, is resized to queries.size() and trace i holds
+  /// query i's stages and its own I/O. Each query is recorded in the
+  /// query.knn.* metrics, as Knn() records its one.
   Result<std::vector<std::vector<VideoMatch>>> BatchKnn(
-      const std::vector<BatchQuery>& queries, size_t k, KnnMethod method,
-      size_t num_threads, QueryCosts* costs = nullptr,
+      std::span<const BatchQuery> queries, size_t k, KnnMethod method,
+      ThreadPool* executor, QueryCosts* costs = nullptr,
       std::vector<QueryTrace>* traces = nullptr) VITRI_EXCLUDES(*latch_);
 
   /// Baseline: evaluates the query against every stored ViTri by
@@ -280,18 +290,6 @@ class ViTriIndex {
   Result<std::vector<VideoMatch>> SequentialScan(
       const std::vector<ViTri>& query, uint32_t query_frames, size_t k,
       QueryCosts* costs = nullptr) VITRI_EXCLUDES(*latch_);
-
-  /// Frame point query: the top-k videos ranked by the estimated number
-  /// of their frames within `epsilon` of the single frame `frame`
-  /// (VideoMatch::similarity holds that estimate, not a [0,1] score).
-  /// One composed range search of radius epsilon + options.epsilon/2.
-  /// InvalidArgument for a frame of the wrong dimension or with a
-  /// non-finite coordinate, and for an epsilon that is not a positive
-  /// finite number.
-  Result<std::vector<VideoMatch>> FrameSearch(linalg::VecView frame,
-                                              double epsilon, size_t k,
-                                              QueryCosts* costs = nullptr)
-      VITRI_EXCLUDES(*latch_);
 
   /// Angle between the build-time first principal component and the
   /// current data's (0 for non-optimal reference kinds).
@@ -323,9 +321,10 @@ class ViTriIndex {
     return frame_counts_.size();
   }
   /// Videos with a recorded frame count — num_videos() minus id-space
-  /// gaps. The sharded index reports this per shard (each shard's frame
-  /// count table is keyed by global video id, so its extent is not its
-  /// population). Kept current by inserts, so reading it is O(1).
+  /// gaps. The sharded index and `vitrid stats` report this (each
+  /// shard's frame count table is keyed by global video id, so its
+  /// extent is not its population). Kept current by inserts, so reading
+  /// it is O(1).
   size_t stored_videos() const VITRI_EXCLUDES(*latch_) {
     ReaderLock lock(*latch_);
     return stored_videos_;
@@ -383,7 +382,7 @@ class ViTriIndex {
   }
 
  private:
-  /// Queries its shards through KnnUnrecorded().
+  /// Queries its shards through ScatterKnn().
   friend class ShardedViTriIndex;
 
   ViTriIndex() = default;
@@ -440,33 +439,39 @@ class ViTriIndex {
   /// Tree-backed evaluation of a KNN query into `shared`: one loop of
   /// range searches whose callback evaluates each candidate against the
   /// query ranges holding its key, fetching pages on the query's
-  /// `tally`. Read-only; safe to run concurrently from BatchKnn workers.
+  /// `tally`. Read-only; safe to run concurrently from scatter tasks.
   Status KnnScanTree(const std::vector<ViTri>& query,
                      const std::vector<RangeSpec>& ranges, KnnMethod method,
                      std::vector<double>* shared, QueryCosts* costs,
                      storage::IoTally* tally, QueryTrace* trace) const
       VITRI_REQUIRES_SHARED(*latch_);
 
-  /// One whole KNN query: ranges, tree scan (with the degraded in-memory
-  /// fallback) and ranking, with its page counts from its own IoTally
-  /// and its wall time. Fills every field of `*costs` (non-null) on
-  /// success and the trace when non-null; records no metrics.
-  /// Read-only.
-  Result<std::vector<VideoMatch>> KnnCompute(const std::vector<ViTri>& query,
-                                             uint32_t query_frames, size_t k,
-                                             KnnMethod method,
-                                             QueryCosts* costs,
-                                             QueryTrace* trace) const
-      VITRI_REQUIRES_SHARED(*latch_);
-
-  /// Knn() without recording the query in the query.knn.* metrics:
-  /// checks the query, takes the latch shared and runs KnnCompute().
+  /// One whole KNN query of an already checked `query` under the shared
+  /// latch: ranges, tree scan (with the degraded in-memory fallback) and
+  /// ranking, with its page counts from its own IoTally and its wall
+  /// time. Fills every field of `*costs` (non-null) on success and the
+  /// trace when non-null; records no metrics. Read-only.
   Result<std::vector<VideoMatch>> KnnUnrecorded(
       const std::vector<ViTri>& query, uint32_t query_frames, size_t k,
       KnnMethod method, QueryCosts* costs, QueryTrace* trace) const
       VITRI_EXCLUDES(*latch_);
 
-  /// Degraded path of Knn and SequentialScan after the tree scan failed
+  /// The one KNN fan-out, behind both index types' BatchKnn and the
+  /// sharded Knn (DESIGN.md §17). Runs one KnnUnrecorded() task per
+  /// (query, shard) on `executor` (inline when null or for one task);
+  /// task q * shards.size() + j is query q on shard j. Then merges each
+  /// query's shard lists, records each query once in query.knn.* with
+  /// the summed costs of its tasks, and fills `costs` with the batch's
+  /// wall time and every other counter summed. `task_costs` and
+  /// `traces`, when given, get one entry per task. The queries must have
+  /// passed CheckQueryViTris.
+  static Result<std::vector<std::vector<VideoMatch>>> ScatterKnn(
+      std::span<const ViTriIndex* const> shards,
+      std::span<const BatchQuery> queries, size_t k, KnnMethod method,
+      ThreadPool* executor, QueryCosts* costs,
+      std::vector<QueryCosts>* task_costs, std::vector<QueryTrace>* traces);
+
+  /// Degraded path of KNN and SequentialScan after the tree scan failed
   /// with `cause`: logs and counts it, then recomputes `shared` and the
   /// candidate counters from every in-memory ViTri against every query
   /// ViTri (what a full sequential scan computes, minus broken pages).

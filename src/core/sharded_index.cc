@@ -7,8 +7,6 @@
 #include <unordered_set>
 
 #include "common/os.h"
-#include "common/stopwatch.h"
-#include "common/thread_pool.h"
 #include "core/validate.h"
 
 namespace vitri::core {
@@ -22,43 +20,6 @@ uint64_t MixVideoId(uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
-}
-
-/// The repo-wide result order: similarity descending, video id
-/// ascending. Matches RankResults() in index.cc, so merged output is
-/// ordered exactly like single-index output.
-bool BetterMatch(const VideoMatch& a, const VideoMatch& b) {
-  return a.similarity > b.similarity ||
-         (a.similarity == b.similarity && a.video_id < b.video_id);
-}
-
-/// Merges per-shard top-k lists (each sorted best-first) into one
-/// global top-k with a bounded heap: the heap holds at most k matches
-/// with the *worst* retained match on top, so each candidate costs
-/// O(log k) and a sorted input list is abandoned at the first element
-/// that cannot improve the heap. Every video id appears in exactly one
-/// shard, so ties between distinct entries never involve equal
-/// (similarity, id) pairs and the order is total.
-std::vector<VideoMatch> MergeTopK(
-    const std::vector<std::vector<VideoMatch>>& lists, size_t k) {
-  std::vector<VideoMatch> heap;
-  if (k == 0) return heap;
-  for (const std::vector<VideoMatch>& list : lists) {
-    for (const VideoMatch& m : list) {
-      if (heap.size() < k) {
-        heap.push_back(m);
-        std::push_heap(heap.begin(), heap.end(), BetterMatch);
-      } else if (BetterMatch(m, heap.front())) {
-        std::pop_heap(heap.begin(), heap.end(), BetterMatch);
-        heap.back() = m;
-        std::push_heap(heap.begin(), heap.end(), BetterMatch);
-      } else {
-        break;  // Sorted best-first: nothing later in this list fits.
-      }
-    }
-  }
-  std::sort_heap(heap.begin(), heap.end(), BetterMatch);
-  return heap;
 }
 
 std::string ShardGaugeName(size_t shard, const char* suffix) {
@@ -240,111 +201,52 @@ Status ShardedViTriIndex::Insert(uint32_t video_id, uint32_t num_frames,
   return Status::OK();
 }
 
+std::vector<const ViTriIndex*> ShardedViTriIndex::LiveShards(
+    std::vector<size_t>* numbers) const {
+  ReaderLock lock(*latch_);
+  std::vector<const ViTriIndex*> live;
+  live.reserve(num_shards_);
+  for (size_t s = 0; s < num_shards_; ++s) {
+    if (shards_[s] == nullptr) continue;
+    live.push_back(shards_[s].get());
+    if (numbers != nullptr) numbers->push_back(s);
+  }
+  return live;
+}
+
 Result<std::vector<VideoMatch>> ShardedViTriIndex::Knn(
     const std::vector<ViTri>& query, uint32_t query_frames, size_t k,
     KnnMethod method, QueryCosts* costs,
     std::vector<QueryCosts>* shard_costs) {
   VITRI_RETURN_IF_ERROR(
       CheckQueryViTris(query, options_.shard_options.dimension));
-  Stopwatch watch;
-  QueryCosts total;
-  std::vector<QueryCosts> per_shard(num_shards_);
-  std::vector<std::vector<VideoMatch>> lists;
-  lists.reserve(num_shards_);
-  {
-    ReaderLock lock(*latch_);
-    for (size_t s = 0; s < num_shards_; ++s) {
-      if (shards_[s] == nullptr) continue;
-      QueryCosts shard_cost;
-      VITRI_ASSIGN_OR_RETURN(
-          std::vector<VideoMatch> matches,
-          shards_[s]->KnnUnrecorded(query, query_frames, k, method,
-                                    &shard_cost, nullptr));
-      total += shard_cost;
-      per_shard[s] = shard_cost;
-      lists.push_back(std::move(matches));
+  std::vector<size_t> numbers;
+  const std::vector<const ViTriIndex*> live = LiveShards(&numbers);
+  const BatchQuery batch[] = {{query, query_frames}};
+  std::vector<QueryCosts> task_costs;
+  VITRI_ASSIGN_OR_RETURN(
+      std::vector<std::vector<VideoMatch>> results,
+      ViTriIndex::ScatterKnn(live, batch, k, method, /*executor=*/nullptr,
+                             costs, &task_costs, /*traces=*/nullptr));
+  if (shard_costs != nullptr) {
+    shard_costs->assign(num_shards_, QueryCosts{});
+    for (size_t j = 0; j < numbers.size(); ++j) {
+      (*shard_costs)[numbers[j]] = task_costs[j];
     }
   }
-  std::vector<VideoMatch> merged = MergeTopK(lists, k);
-  total.cpu_seconds = watch.ElapsedSeconds();
-  RecordKnnQuery(total);
-  if (costs != nullptr) *costs = total;
-  if (shard_costs != nullptr) *shard_costs = std::move(per_shard);
-  return merged;
+  return std::move(results[0]);
 }
 
 Result<std::vector<std::vector<VideoMatch>>> ShardedViTriIndex::BatchKnn(
-    const std::vector<BatchQuery>& queries, size_t k, KnnMethod method,
-    size_t num_threads, QueryCosts* costs) {
+    std::span<const BatchQuery> queries, size_t k, KnnMethod method,
+    ThreadPool* executor, QueryCosts* costs) {
   for (const BatchQuery& q : queries) {
     VITRI_RETURN_IF_ERROR(
         CheckQueryViTris(q.vitris, options_.shard_options.dimension));
   }
-  Stopwatch watch;
-  const size_t n = queries.size();
-  std::vector<std::vector<VideoMatch>> out(n);
-  QueryCosts total;
-  {
-    ReaderLock lock(*latch_);
-    std::vector<ViTriIndex*> live;
-    live.reserve(num_shards_);
-    for (const std::unique_ptr<ViTriIndex>& shard : shards_) {
-      if (shard != nullptr) live.push_back(shard.get());
-    }
-    if (n > 0 && !live.empty()) {
-      // Scatter: one task per (query, live shard) pair. Each worker
-      // writes only its own slots; the shard's Knn takes the shard
-      // latch shared, so tasks never contend on a writer.
-      const size_t tasks = n * live.size();
-      std::vector<std::vector<std::vector<VideoMatch>>> scattered(n);
-      for (std::vector<std::vector<VideoMatch>>& lists : scattered) {
-        lists.resize(live.size());
-      }
-      std::vector<QueryCosts> task_costs(tasks);
-      std::vector<Status> statuses(tasks);
-      const auto run_one = [&](size_t t) {
-        latch_->AssertHeldShared();
-        const size_t q = t / live.size();
-        const size_t j = t % live.size();
-        auto matches =
-            live[j]->KnnUnrecorded(queries[q].vitris, queries[q].num_frames,
-                                   k, method, &task_costs[t], nullptr);
-        if (!matches.ok()) {
-          statuses[t] = matches.status();
-          return;
-        }
-        scattered[q][j] = std::move(*matches);
-      };
-      const size_t workers = std::min(num_threads, tasks);
-      if (workers <= 1 || tasks <= 1) {
-        for (size_t t = 0; t < tasks; ++t) run_one(t);
-      } else {
-        ThreadPool pool(workers);
-        pool.ParallelFor(tasks, run_one);
-      }
-      for (const Status& status : statuses) VITRI_RETURN_IF_ERROR(status);
-
-      // Gather: merging is commutative over shards given the total
-      // (similarity, id) order, so results are identical to sequential
-      // per-query Knn regardless of task scheduling. Each task counted
-      // its own pages, so a query's costs are the sum of its tasks', and
-      // the batch's the sum of them all. A query's tasks run among other
-      // queries' tasks, so its latency sample is the time its tasks took,
-      // not a wall time of its own.
-      for (size_t q = 0; q < n; ++q) {
-        out[q] = MergeTopK(scattered[q], k);
-        QueryCosts query_costs;
-        for (size_t j = 0; j < live.size(); ++j) {
-          query_costs += task_costs[q * live.size() + j];
-        }
-        RecordKnnQuery(query_costs);
-        total += query_costs;
-      }
-    }
-  }
-  total.cpu_seconds = watch.ElapsedSeconds();
-  if (costs != nullptr) *costs = total;
-  return out;
+  return ViTriIndex::ScatterKnn(LiveShards(), queries, k, method, executor,
+                                costs, /*task_costs=*/nullptr,
+                                /*traces=*/nullptr);
 }
 
 Status ShardedViTriIndex::ValidateInvariants() {

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -71,10 +72,11 @@ struct ShardedIndexOptions {
 ///
 /// Thread-safety: a wrapper reader-writer latch guards the shard table
 /// (slots start null for empty shards and are created lazily by
-/// Insert). Queries take it shared and then take each shard's own latch
-/// shared inside the shard's query methods; Insert normally takes it
-/// shared too (the shard's exclusive latch serializes writers per
-/// shard) and only takes it exclusive to create a missing shard. Lock
+/// Insert). Queries take it shared only to list the live shards, then
+/// each scatter task takes its shard's own latch shared. Insert
+/// normally takes it shared too (the shard's exclusive latch serializes
+/// writers per shard) and only takes it exclusive to create a missing
+/// shard. Lock
 /// order: wrapper latch → shard latch (→ tree → pool, DESIGN.md §14);
 /// no thread ever holds two shard latches at once.
 class ShardedViTriIndex {
@@ -106,35 +108,35 @@ class ShardedViTriIndex {
   Status Insert(uint32_t video_id, uint32_t num_frames,
                 const std::vector<ViTri>& vitris) VITRI_EXCLUDES(*latch_);
 
-  /// Top-k via scatter-gather: queries every non-empty shard with the
-  /// full k (sequentially, in shard order) and merges the per-shard
-  /// lists with a bounded top-k heap ordered by (similarity desc,
-  /// video id asc) — the repo-wide tie-break. `costs`, if given,
-  /// aggregates all shards (cpu_seconds is this call's wall time);
-  /// `shard_costs`, if given, is resized to num_shards() and entry i
-  /// holds shard i's own costs (zeros for empty shards), its page counts
-  /// exact under concurrent callers — the bench reads per-shard pruning
-  /// ratios from it. The query is recorded once in the query.knn.*
-  /// metrics (this call's wall time, the summed shard pages); the shard
-  /// queries record nothing.
+  /// Top-k via scatter-gather: the one query as an inline scatter
+  /// (ViTriIndex::ScatterKnn) over every live shard, each asked for the
+  /// full k in shard order, merged with a bounded top-k heap ordered by
+  /// (similarity desc, video id asc) — the repo-wide tie-break. `costs`,
+  /// if given, aggregates all shards (cpu_seconds is this call's wall
+  /// time); `shard_costs`, if given, is resized to num_shards() and
+  /// entry i holds shard i's own costs (zeros for empty shards), its
+  /// page counts exact under concurrent callers — the bench reads
+  /// per-shard pruning ratios and times from it. The query is recorded
+  /// once in the query.knn.* metrics with the summed costs of its shard
+  /// tasks (so its latency sample is the sum of the shard times).
   Result<std::vector<VideoMatch>> Knn(
       const std::vector<ViTri>& query, uint32_t query_frames, size_t k,
       KnnMethod method, QueryCosts* costs = nullptr,
       std::vector<QueryCosts>* shard_costs = nullptr) VITRI_EXCLUDES(*latch_);
 
-  /// Scatter-gather batch KNN: fans (query × shard) tasks across
-  /// `num_threads` workers, then merges each query's per-shard lists
-  /// deterministically after the scatter completes. Results are indexed
-  /// like `queries` and identical to calling Knn() per query (merging
-  /// is order-independent given the total (similarity, id) order).
-  /// num_threads <= 1 runs inline. `costs` aggregates the batch:
-  /// cpu_seconds is the batch wall time, every other counter the sum of
-  /// the per-task costs (each task counts its own pages). Each query is
-  /// recorded once in the query.knn.* metrics, with the summed costs of
-  /// its shard tasks.
+  /// Scatter-gather batch KNN: one (query × live shard) task each on the
+  /// caller's `executor` (inline when null), then each query's
+  /// per-shard lists merged after the scatter completes
+  /// (ViTriIndex::ScatterKnn). Results are indexed like `queries` and
+  /// bit-identical to calling Knn() per query (merging is
+  /// order-independent given the total (similarity, id) order). `costs`
+  /// aggregates the batch: cpu_seconds is the batch wall time, every
+  /// other counter the sum of the per-task costs (each task counts its
+  /// own pages). Each query is recorded once in the query.knn.* metrics,
+  /// with the summed costs of its shard tasks.
   Result<std::vector<std::vector<VideoMatch>>> BatchKnn(
-      const std::vector<BatchQuery>& queries, size_t k, KnnMethod method,
-      size_t num_threads, QueryCosts* costs = nullptr)
+      std::span<const BatchQuery> queries, size_t k, KnnMethod method,
+      ThreadPool* executor, QueryCosts* costs = nullptr)
       VITRI_EXCLUDES(*latch_);
 
   /// Deep self-check, PR 2 validator pattern: every shard passes its own
@@ -152,9 +154,9 @@ class ShardedViTriIndex {
   ShardAssignment assignment() const { return options_.assignment; }
   const ShardedIndexOptions& options() const { return options_; }
 
-  /// Videos actually stored (frame count recorded), summed over shards.
-  /// Unlike ViTriIndex::num_videos() this counts videos, not the id-space
-  /// extent.
+  /// Videos actually stored (frame count recorded), summed over shards:
+  /// ViTriIndex::stored_videos(), not the id-space extent of
+  /// ViTriIndex::num_videos().
   size_t num_videos() const VITRI_EXCLUDES(*latch_);
   /// ViTris stored, summed over shards.
   size_t num_vitris() const VITRI_EXCLUDES(*latch_);
@@ -177,6 +179,13 @@ class ShardedViTriIndex {
 
  private:
   ShardedViTriIndex() = default;
+
+  /// The live shards in shard order, and their shard numbers into
+  /// `numbers` when given. Slots only go null → non-null and a shard
+  /// lives as long as the wrapper, so the pointers stay valid after the
+  /// wrapper latch is released: a scatter holds no wrapper latch.
+  std::vector<const ViTriIndex*> LiveShards(
+      std::vector<size_t>* numbers = nullptr) const VITRI_EXCLUDES(*latch_);
 
   /// Builds the per-shard ViTriIndexOptions (injecting the pinned
   /// global transform when configured).

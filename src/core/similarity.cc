@@ -61,30 +61,6 @@ double EstimatedSharedFrames(const ViTri& a, const ViTri& b,
   return static_cast<double>(sparse.cluster_size) * ratio;
 }
 
-double EstimatedMatchingFrames(linalg::VecView x, double epsilon,
-                               const ViTri& c) {
-  if (epsilon <= 0.0 || c.cluster_size == 0) return 0.0;
-  const int n = c.dimension();
-  // Both the point-cluster membership test and the disjointness test
-  // compare against squared thresholds; sqrt is deferred to the one
-  // branch whose lens geometry needs the true distance.
-  const double d2 = linalg::SquaredDistance(x, c.position);
-  if (c.radius <= 0.0) {
-    // Point cluster: all of it matches iff it is within epsilon.
-    return d2 <= epsilon * epsilon ? static_cast<double>(c.cluster_size)
-                                   : 0.0;
-  }
-  const double reach = epsilon + c.radius;
-  if (d2 > reach * reach) return 0.0;
-  const geometry::BallIntersection lens =
-      geometry::IntersectBalls(n, std::sqrt(d2), epsilon, c.radius);
-  if (lens.disjoint) return 0.0;
-  const double log_ratio =
-      lens.log_volume - geometry::LogBallVolume(n, c.radius);
-  return static_cast<double>(c.cluster_size) *
-         std::exp(std::min(log_ratio, 0.0));
-}
-
 double EstimatedVideoSimilarity(const std::vector<ViTri>& a,
                                 const std::vector<ViTri>& b,
                                 uint32_t frames_a, uint32_t frames_b) {

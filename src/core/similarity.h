@@ -38,13 +38,6 @@ double EstimatedSharedFrames(const ViTri& a, const ViTri& b);
 double EstimatedSharedFrames(const ViTri& a, const ViTri& b,
                              double squared_distance);
 
-/// Estimated number of frames of cluster `c` lying within `epsilon` of
-/// the single frame `x`: density * V(ball(x, epsilon) ^ ball(O, R)),
-/// evaluated stably as |C| * V_int / V(R). The frame-level point-query
-/// analogue of EstimatedSharedFrames.
-double EstimatedMatchingFrames(linalg::VecView x, double epsilon,
-                               const ViTri& c);
-
 /// Estimated video similarity from two ViTri summaries:
 /// sim ~= 2 * sum_ij shared(a_i, b_j) / (|X| + |Y|), clamped to [0, 1].
 /// `frames_a` / `frames_b` are the sequences' frame counts.

@@ -9,6 +9,8 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <iterator>
+#include <span>
 #include <utility>
 
 #include "common/coding.h"
@@ -83,6 +85,9 @@ Status Server::Start() {
   if (::pipe(wake_pipe_) != 0) {
     CloseFd(&listen_fd_);
     return Status::IoError("pipe: " + ErrnoString(errno));
+  }
+  if (options_.knn_threads > 1) {
+    knn_pool_ = std::make_unique<ThreadPool>(options_.knn_threads);
   }
   const size_t num_workers =
       options_.num_workers == 0 ? 1 : options_.num_workers;
@@ -373,47 +378,37 @@ void Server::HandleKnn(WorkItem item) {
   // Query tracing is a single-index feature; the sharded route
   // scatter-gathers across shards without per-stage traces.
   std::vector<core::QueryTrace> traces;
+  std::vector<core::QueryTrace> stage_traces;
   Status failure = Status::OK();
   bool expired = false;
-  if (item.deadline_us == 0) {
+  // Without a deadline one stage holds every query; with one, each stage
+  // holds one query and the deadline is checked before it, so an
+  // expired request stops consuming index time between queries.
+  const std::span<const core::BatchQuery> queries = item.knn.queries;
+  const size_t stage_size = item.deadline_us == 0 ? queries.size() : 1;
+  for (size_t first = 0; first < queries.size(); first += stage_size) {
+    if (item.deadline_us != 0 && NowMicros() > item.deadline_us) {
+      expired = true;
+      break;
+    }
+    const std::span<const core::BatchQuery> stage =
+        queries.subspan(first, stage_size);
     Result<std::vector<std::vector<core::VideoMatch>>> r =
         sharded_ != nullptr
-            ? sharded_->BatchKnn(item.knn.queries, item.knn.k,
-                                 item.knn.method, options_.knn_threads)
-            : index_->BatchKnn(item.knn.queries, item.knn.k, item.knn.method,
-                               options_.knn_threads, nullptr,
-                               traced ? &traces : nullptr);
-    if (r.ok()) {
-      resp.results = std::move(*r);
-    } else {
+            ? sharded_->BatchKnn(stage, item.knn.k, item.knn.method,
+                                 knn_pool_.get())
+            : index_->BatchKnn(stage, item.knn.k, item.knn.method,
+                               knn_pool_.get(), nullptr,
+                               traced ? &stage_traces : nullptr);
+    if (!r.ok()) {
       failure = r.status();
+      break;
     }
-  } else {
-    // Deadline-aware path: one query per stage, with the deadline
-    // re-checked between stages so an expired request stops consuming
-    // index time mid-batch.
-    const size_t n = item.knn.queries.size();
-    resp.results.reserve(n);
-    if (traced && sharded_ == nullptr) traces.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      if (NowMicros() > item.deadline_us) {
-        expired = true;
-        break;
-      }
-      const core::BatchQuery& q = item.knn.queries[i];
-      Result<std::vector<core::VideoMatch>> r =
-          sharded_ != nullptr
-              ? sharded_->Knn(q.vitris, q.num_frames, item.knn.k,
-                              item.knn.method)
-              : index_->Knn(q.vitris, q.num_frames, item.knn.k,
-                            item.knn.method, nullptr,
-                            traces.empty() ? nullptr : &traces[i]);
-      if (!r.ok()) {
-        failure = r.status();
-        break;
-      }
-      resp.results.push_back(std::move(*r));
-    }
+    resp.results.insert(resp.results.end(),
+                        std::make_move_iterator(r->begin()),
+                        std::make_move_iterator(r->end()));
+    traces.insert(traces.end(), std::make_move_iterator(stage_traces.begin()),
+                  std::make_move_iterator(stage_traces.end()));
   }
   if (traced && failure.ok() && !expired) {
     MutexLock lock(trace_mu_);
@@ -453,7 +448,6 @@ void Server::HandleInsert(WorkItem item) {
           : index_->Insert(item.insert.video_id, item.insert.num_frames,
                            item.insert.vitris);
   if (st.ok()) {
-    responses_ok_.fetch_add(1, std::memory_order_relaxed);
     RespondSimple(item.session, MessageType::kInsertResponse, item.request_id,
                   WireStatus::kOk, "");
   } else {
@@ -549,7 +543,7 @@ std::string Server::BuildStatsJson() {
     w.Uint(0);
   } else {
     w.Key("videos");
-    w.Uint(index_->num_videos());
+    w.Uint(index_->stored_videos());
     w.Key("vitris");
     w.Uint(index_->num_vitris());
     w.Key("tree_height");
@@ -632,6 +626,7 @@ Status Server::Shutdown() {
     if (worker.joinable()) worker.join();
   }
   workers_.clear();
+  knn_pool_.reset();
   // 4. Close sessions. SHUT_RD (not RDWR) so a reader blocked in read()
   //    sees EOF while its final inline response can still flush; fds are
   //    closed only after the readers are joined, so no worker or reader

@@ -13,6 +13,7 @@
 
 #include "common/annotated_lock.h"
 #include "common/status.h"
+#include "common/thread_pool.h"
 #include "core/index.h"
 #include "serving/bounded_queue.h"
 #include "serving/protocol.h"
@@ -36,9 +37,10 @@ struct ServerOptions {
   size_t queue_capacity = 256;
   /// Worker threads executing queued Knn/Insert requests.
   size_t num_workers = 4;
-  /// Intra-request parallelism: BatchKnn fan-out width per request
-  /// (1 = inline; the request-level workers above are the primary
-  /// concurrency axis).
+  /// Intra-request parallelism: the threads of the one pool every
+  /// request's BatchKnn scatters its (query × shard) tasks on, shared by
+  /// all workers (<= 1 = inline on the worker; the request-level workers
+  /// above are the primary concurrency axis).
   size_t knn_threads = 1;
   /// Record a per-stage QueryTrace for every Nth Knn request (0 = off)
   /// and keep the most recent `max_traces` of them for the stats reply.
@@ -70,9 +72,9 @@ struct ServerOptions {
 ///     which drains the queue before stopping — and rejected work is
 ///     answered immediately with Overloaded/ShuttingDown/Invalid);
 ///   * a request whose deadline has passed is answered
-///     DeadlineExceeded without touching the index; deadlines are
-///     re-checked between the per-query stages of a multi-query
-///     request;
+///     DeadlineExceeded without touching the index; a request with a
+///     deadline runs one query per stage and re-checks the deadline
+///     before each stage;
 ///   * Shutdown() stops admission first, then drains workers, then
 ///     closes sessions, then (durable index + checkpoint_on_shutdown)
 ///     checkpoints via the recovery path, so acknowledged inserts are
@@ -189,6 +191,9 @@ class Server {
   int wake_pipe_[2] = {-1, -1};
   std::thread listener_;
   std::vector<std::thread> workers_;
+  /// The executor of every request's BatchKnn: built by Start() when
+  /// knn_threads > 1, destroyed by Shutdown() after the workers joined.
+  std::unique_ptr<ThreadPool> knn_pool_;
 
   BoundedQueue<WorkItem> queue_;
 

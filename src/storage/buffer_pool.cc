@@ -27,9 +27,7 @@ void PageRef::Release() {
   }
 }
 
-namespace {
-
-size_t ResolveShardCount(size_t capacity, const BufferPoolOptions& options) {
+size_t ResolvePoolShards(size_t capacity, const BufferPoolOptions& options) {
   size_t n = options.shards;
   // Env override applies to *auto* only: code that pins an explicit
   // count did so for a reason (tests proving shard-local properties).
@@ -37,6 +35,8 @@ size_t ResolveShardCount(size_t capacity, const BufferPoolOptions& options) {
   if (n == 0) n = std::clamp<size_t>(capacity / 8, 1, 8);
   return std::clamp<size_t>(n, 1, capacity);
 }
+
+namespace {
 
 Status PoolInvariantViolation(const std::string& what) {
   return Status::Internal("buffer pool invariant violated: " + what);
@@ -53,7 +53,7 @@ BufferPool::BufferPool(Pager* pager, size_t capacity,
       capacity_(capacity == 0 ? 1 : capacity) {
   VITRI_CHECK(pager->page_size() > kPageFooterSize)
       << "page size must leave room for the integrity footer";
-  const size_t num_shards = ResolveShardCount(capacity_, options);
+  const size_t num_shards = ResolvePoolShards(capacity_, options);
   shards_.reserve(num_shards);
   for (size_t i = 0; i < num_shards; ++i) {
     auto shard = std::make_unique<Shard>();

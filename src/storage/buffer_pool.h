@@ -90,6 +90,11 @@ struct BufferPoolOptions {
   size_t shards = 0;
 };
 
+/// The shard count a pool of `capacity` (>= 1) frames resolves
+/// `options.shards` to: auto, the VITRI_POOL_SHARDS override of auto,
+/// and the [1, capacity] clamp, as documented on BufferPoolOptions.
+size_t ResolvePoolShards(size_t capacity, const BufferPoolOptions& options);
+
 /// Sharded buffer pool over a Pager, with clock (second-chance)
 /// replacement per shard. Pages load on demand only: a Fetch is the one
 /// way a page enters a frame, so every physical read is some caller's

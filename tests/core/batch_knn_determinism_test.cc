@@ -1,13 +1,16 @@
-// BatchKnn must be a pure parallelization: for any thread count, the
-// results are byte-identical (video ids and bitwise-equal similarity
-// doubles, in the same order) to running Knn() sequentially per query.
+// BatchKnn must be a pure parallelization: on both index types, with no
+// executor and on a pool of any size, the results are byte-identical
+// (video ids and bitwise-equal similarity doubles, in the same order) to
+// running Knn() sequentially per query.
 
 #include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
 #include "core/index.h"
+#include "core/sharded_index.h"
 #include "core/vitri_builder.h"
 #include "video/synthesizer.h"
 
@@ -65,28 +68,53 @@ void ExpectIdenticalBatches(
   }
 }
 
+// Both methods, inline and on pools of 1, 2, 4 and 8 threads: every
+// batch equals Knn() run query by query, bitwise.
+template <typename Index>
+void ExpectBatchesMatchSequentialKnn(Index& index,
+                                     const std::vector<BatchQuery>& queries) {
+  for (const KnnMethod method :
+       {KnnMethod::kComposed, KnnMethod::kNaive}) {
+    std::vector<std::vector<VideoMatch>> sequential;
+    for (const BatchQuery& q : queries) {
+      auto result = index.Knn(q.vitris, q.num_frames, 10, method);
+      ASSERT_TRUE(result.ok());
+      sequential.push_back(std::move(*result));
+    }
+    auto inline_batch = index.BatchKnn(queries, 10, method, nullptr);
+    ASSERT_TRUE(inline_batch.ok());
+    ExpectIdenticalBatches(sequential, *inline_batch);
+    for (const size_t threads : {size_t{1}, size_t{2}, size_t{4},
+                                 size_t{8}}) {
+      ThreadPool pool(threads);
+      auto batch = index.BatchKnn(queries, 10, method, &pool);
+      ASSERT_TRUE(batch.ok()) << "threads=" << threads;
+      ExpectIdenticalBatches(sequential, *batch);
+    }
+  }
+}
+
 TEST(BatchKnnDeterminismTest, MatchesSequentialKnnForEveryThreadCount) {
   BatchWorld w = MakeBatchWorld(12);
   ViTriIndexOptions io;
   io.dimension = w.db.dimension;
   auto index = ViTriIndex::Build(w.set, io);
   ASSERT_TRUE(index.ok());
+  ExpectBatchesMatchSequentialKnn(*index, w.queries);
+}
 
-  for (const KnnMethod method :
-       {KnnMethod::kComposed, KnnMethod::kNaive}) {
-    std::vector<std::vector<VideoMatch>> sequential;
-    for (const BatchQuery& q : w.queries) {
-      auto result = index->Knn(q.vitris, q.num_frames, 10, method);
-      ASSERT_TRUE(result.ok());
-      sequential.push_back(std::move(*result));
-    }
-    for (const size_t threads : {size_t{1}, size_t{2}, size_t{4},
-                                 size_t{8}}) {
-      auto batch = index->BatchKnn(w.queries, 10, method, threads);
-      ASSERT_TRUE(batch.ok()) << "threads=" << threads;
-      ExpectIdenticalBatches(sequential, *batch);
-    }
-  }
+// The same scatter over (query x shard) tasks: same shards, same
+// per-shard accumulation order, so batch and per-query results are
+// bitwise equal, not just equal to 6 decimals.
+TEST(BatchKnnDeterminismTest, ShardedMatchesSequentialKnnForEveryThreadCount) {
+  BatchWorld w = MakeBatchWorld(8);
+  ShardedIndexOptions so;
+  so.num_shards = 4;
+  so.shard_options.dimension = w.db.dimension;
+  auto index = ShardedViTriIndex::Build(w.set, so);
+  ASSERT_TRUE(index.ok());
+  ASSERT_GT(index->live_shards(), 1u);
+  ExpectBatchesMatchSequentialKnn(*index, w.queries);
 }
 
 TEST(BatchKnnDeterminismTest, RepeatedParallelRunsAreIdentical) {
@@ -96,10 +124,11 @@ TEST(BatchKnnDeterminismTest, RepeatedParallelRunsAreIdentical) {
   auto index = ViTriIndex::Build(w.set, io);
   ASSERT_TRUE(index.ok());
 
-  auto first = index->BatchKnn(w.queries, 5, KnnMethod::kComposed, 8);
+  ThreadPool pool(8);
+  auto first = index->BatchKnn(w.queries, 5, KnnMethod::kComposed, &pool);
   ASSERT_TRUE(first.ok());
   for (int run = 0; run < 3; ++run) {
-    auto again = index->BatchKnn(w.queries, 5, KnnMethod::kComposed, 8);
+    auto again = index->BatchKnn(w.queries, 5, KnnMethod::kComposed, &pool);
     ASSERT_TRUE(again.ok());
     ExpectIdenticalBatches(*first, *again);
   }
@@ -113,8 +142,9 @@ TEST(BatchKnnDeterminismTest, AggregatedCostsCoverTheBatch) {
   ASSERT_TRUE(index.ok());
 
   QueryCosts costs;
+  ThreadPool pool(4);
   auto batch =
-      index->BatchKnn(w.queries, 10, KnnMethod::kComposed, 4, &costs);
+      index->BatchKnn(w.queries, 10, KnnMethod::kComposed, &pool, &costs);
   ASSERT_TRUE(batch.ok());
   EXPECT_EQ(costs.range_searches >= w.queries.size(), true);
   EXPECT_GT(costs.candidates, 0u);
@@ -130,14 +160,15 @@ TEST(BatchKnnDeterminismTest, EmptyBatchAndEmptyQuery) {
   auto index = ViTriIndex::Build(w.set, io);
   ASSERT_TRUE(index.ok());
 
-  auto empty = index->BatchKnn({}, 10, KnnMethod::kComposed, 4);
+  ThreadPool pool(4);
+  auto empty = index->BatchKnn({}, 10, KnnMethod::kComposed, &pool);
   ASSERT_TRUE(empty.ok());
   EXPECT_TRUE(empty->empty());
 
   // A batch containing an empty summary fails like Knn() does.
   std::vector<BatchQuery> bad(2);
   bad[0] = w.queries[0];
-  auto result = index->BatchKnn(bad, 10, KnnMethod::kComposed, 4);
+  auto result = index->BatchKnn(bad, 10, KnnMethod::kComposed, &pool);
   EXPECT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsInvalidArgument());
 }

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
 #include "core/index.h"
 #include "core/vitri_builder.h"
 #include "video/synthesizer.h"
@@ -109,8 +110,8 @@ TEST(IndexConcurrencyTest, ParallelKnnReadersSeeConsistentResults) {
   EXPECT_TRUE(index.quarantined_pages().empty());
 }
 
-// BatchKnn itself called concurrently from several threads: each call
-// spins up its own pool over the same read-only index.
+// BatchKnn itself called concurrently from several threads, all of them
+// scattering on one shared executor over the same read-only index.
 TEST(IndexConcurrencyTest, ConcurrentBatchKnnCallsAgree) {
   SharedWorld w = MakeSharedWorld(6);
   ViTriIndexOptions io;
@@ -119,9 +120,11 @@ TEST(IndexConcurrencyTest, ConcurrentBatchKnnCallsAgree) {
   ASSERT_TRUE(built.ok());
   ViTriIndex& index = *built;
 
-  auto baseline = index.BatchKnn(w.queries, 5, KnnMethod::kComposed, 1);
+  auto baseline =
+      index.BatchKnn(w.queries, 5, KnnMethod::kComposed, nullptr);
   ASSERT_TRUE(baseline.ok());
 
+  ThreadPool pool(4);
   constexpr int kCallers = 4;
   std::atomic<int> mismatches{0};
   std::atomic<int> failures{0};
@@ -129,7 +132,7 @@ TEST(IndexConcurrencyTest, ConcurrentBatchKnnCallsAgree) {
   callers.reserve(kCallers);
   for (int t = 0; t < kCallers; ++t) {
     callers.emplace_back([&] {
-      auto batch = index.BatchKnn(w.queries, 5, KnnMethod::kComposed, 4);
+      auto batch = index.BatchKnn(w.queries, 5, KnnMethod::kComposed, &pool);
       if (!batch.ok()) {
         failures.fetch_add(1, std::memory_order_relaxed);
         return;

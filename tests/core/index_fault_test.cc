@@ -220,12 +220,9 @@ TEST(IndexFaultToleranceTest, SequentialScanAndFrameSearchDegrade) {
   const std::vector<ViTri> query = VideoSummary(w.set, 0);
   ASSERT_FALSE(query.empty());
   const uint32_t frames = w.set.frame_counts[0];
-  const linalg::Vec probe = w.set.vitris[0].position;
 
   auto seq_healthy = index->SequentialScan(query, frames, 5);
   ASSERT_TRUE(seq_healthy.ok());
-  auto frame_healthy = index->FrameSearch(probe, 0.15, 5);
-  ASSERT_TRUE(frame_healthy.ok());
 
   fault_handle->AddRule(
       FaultRule{FaultKind::kBitFlip, FaultOp::kRead, kAnyPage});
@@ -236,12 +233,6 @@ TEST(IndexFaultToleranceTest, SequentialScanAndFrameSearchDegrade) {
   ASSERT_TRUE(seq_degraded.ok());
   EXPECT_TRUE(seq_costs.degraded);
   ExpectSameMatches(*seq_healthy, *seq_degraded);
-
-  QueryCosts frame_costs;
-  auto frame_degraded = index->FrameSearch(probe, 0.15, 5, &frame_costs);
-  ASSERT_TRUE(frame_degraded.ok());
-  EXPECT_TRUE(frame_costs.degraded);
-  ExpectSameMatches(*frame_healthy, *frame_degraded);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/metrics.h"
+#include "common/thread_pool.h"
 #include "core/vitri_builder.h"
 #include "video/synthesizer.h"
 
@@ -405,7 +406,10 @@ TEST(ViTriIndexTest, QueryOfWrongDimensionIsRejected) {
     EXPECT_TRUE(index->Knn(wide, frames, 5, method)
                     .status()
                     .IsInvalidArgument());
-    EXPECT_TRUE(index->BatchKnn({{good, frames}, {wide, frames}}, 5, method, 2)
+    EXPECT_TRUE(index
+                    ->BatchKnn(std::vector<BatchQuery>{{good, frames},
+                                                       {wide, frames}},
+                               5, method, nullptr)
                     .status()
                     .IsInvalidArgument());
   }
@@ -454,70 +458,49 @@ TEST(ViTriIndexTest, KLimitsResultCount) {
   EXPECT_LE(results->size(), 2u);
 }
 
-TEST(ViTriIndexTest, FrameSearchFindsContainingVideo) {
+// An insert pins the root-to-leaf path and the split siblings at once,
+// so a pool shard of fewer than kMinPoolShardFrames frames runs out
+// mid-split and leaves the tree half-updated. Build() rejects such a
+// pool before building any tree: 3 frames in one shard, and 64 frames
+// in 64 shards (one frame each).
+TEST(ViTriIndexTest, BuildRejectsAPoolShardOfFewerThanEightFrames) {
   World w = MakeWorld();
-  auto index = ViTriIndex::Build(w.set, DefaultOptions());
-  ASSERT_TRUE(index.ok());
-  // A frame straight out of video 4 must rank video 4 at the top.
-  const linalg::Vec& probe = w.db.videos[4].frames[40];
-  auto results = index->FrameSearch(probe, 0.15, 5);
-  ASSERT_TRUE(results.ok());
-  ASSERT_FALSE(results->empty());
-  // Video 4 must be found; a video sharing the same footage (reuse
-  // corpus) may legitimately contain *more* matching frames and rank
-  // above it.
-  bool found = false;
-  for (const VideoMatch& m : *results) found = found || m.video_id == 4u;
-  EXPECT_TRUE(found);
-  EXPECT_GT((*results)[0].similarity, 1.0);  // Many frames of the shot.
-}
-
-TEST(ViTriIndexTest, FrameSearchRejectsBadInput) {
-  World w = MakeWorld();
-  auto index = ViTriIndex::Build(w.set, DefaultOptions());
-  ASSERT_TRUE(index.ok());
-  EXPECT_FALSE(index->FrameSearch(linalg::Vec(3, 0.1), 0.15, 5).ok());
-  EXPECT_FALSE(
-      index->FrameSearch(linalg::Vec(64, 0.1), 0.0, 5).ok());
-  // A NaN epsilon passes an `epsilon <= 0` test, and a NaN coordinate
-  // makes a NaN key; either would answer OK with nothing found.
-  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
-  const linalg::Vec& probe = w.db.videos[4].frames[40];
-  for (const double epsilon :
-       {kNan, std::numeric_limits<double>::infinity()}) {
-    EXPECT_TRUE(
-        index->FrameSearch(probe, epsilon, 5).status().IsInvalidArgument());
-  }
-  linalg::Vec nan_frame = probe;
-  nan_frame[3] = kNan;
+  ViTriIndexOptions three = DefaultOptions();
+  three.buffer_pool_pages = 3;
+  EXPECT_TRUE(ViTriIndex::Build(w.set, three).status().IsInvalidArgument());
+  ViTriIndexOptions single_frames = DefaultOptions();
+  single_frames.buffer_pool_pages = 64;
+  single_frames.buffer_pool_options.shards = 64;
   EXPECT_TRUE(
-      index->FrameSearch(nan_frame, 0.15, 5).status().IsInvalidArgument());
+      ViTriIndex::Build(w.set, single_frames).status().IsInvalidArgument());
 }
 
-TEST(ViTriIndexTest, FrameSearchFarFrameFindsNothing) {
+TEST(ViTriIndexTest, EightFramePoolSurvivesSplittingInserts) {
   World w = MakeWorld();
-  auto index = ViTriIndex::Build(w.set, DefaultOptions());
+  ViTriIndexOptions options = DefaultOptions();
+  options.buffer_pool_pages = kMinPoolShardFrames;
+  auto index = ViTriIndex::Build(w.set, options);
   ASSERT_TRUE(index.ok());
-  // A frame far outside the data (corner of the cube).
-  linalg::Vec far(64, 0.0);
-  far[0] = 1.0;
-  far[63] = 1.0;  // Not even a normalized histogram; distance >> eps.
-  auto results = index->FrameSearch(far, 0.05, 5);
-  ASSERT_TRUE(results.ok());
-  EXPECT_TRUE(results->empty());
-}
-
-TEST(ViTriIndexTest, FrameSearchCountsScaleWithEpsilon) {
-  World w = MakeWorld();
-  auto index = ViTriIndex::Build(w.set, DefaultOptions());
-  ASSERT_TRUE(index.ok());
-  const linalg::Vec& probe = w.db.videos[2].frames[10];
-  auto narrow = index->FrameSearch(probe, 0.05, 1);
-  auto wide = index->FrameSearch(probe, 0.25, 1);
-  ASSERT_TRUE(narrow.ok() && wide.ok());
-  ASSERT_FALSE(wide->empty());
-  const double n_est = narrow->empty() ? 0.0 : (*narrow)[0].similarity;
-  EXPECT_GE((*wide)[0].similarity, n_est);
+  const uint32_t height = index->tree_height();
+  std::vector<std::vector<ViTri>> per_video(w.set.frame_counts.size());
+  for (const ViTri& v : w.set.vitris) per_video[v.video_id].push_back(v);
+  // 200 copies of stored videos under fresh ids: enough leaf splits to
+  // grow the tree, every one of them inside the pool's one 8-frame
+  // shard.
+  uint32_t inserted = 0;
+  for (uint32_t source = 0; inserted < 200;
+       source = (source + 1) % per_video.size()) {
+    if (per_video[source].empty()) continue;
+    const uint32_t id = 1000 + inserted;
+    std::vector<ViTri> vitris = per_video[source];
+    for (ViTri& v : vitris) v.video_id = id;
+    ASSERT_TRUE(
+        index->Insert(id, w.set.frame_counts[source], vitris).ok())
+        << "insert " << inserted;
+    ++inserted;
+  }
+  EXPECT_GT(index->tree_height(), height);
+  EXPECT_TRUE(index->ValidateInvariants().ok());
 }
 
 // Each query a BatchKnn answers is one served query: it lands in the
@@ -540,7 +523,8 @@ TEST(ViTriIndexTest, BatchKnnRecordsEachQueryInTheKnnMetrics) {
   const uint64_t latency_before = latency->Count();
   const uint64_t pages_before = pages->Count();
 
-  ASSERT_TRUE(index->BatchKnn(batch, 5, KnnMethod::kComposed, 4).ok());
+  ThreadPool pool(4);
+  ASSERT_TRUE(index->BatchKnn(batch, 5, KnnMethod::kComposed, &pool).ok());
   EXPECT_EQ(count->Value() - count_before, batch.size());
   EXPECT_EQ(latency->Count() - latency_before, batch.size());
   EXPECT_EQ(pages->Count() - pages_before, batch.size());

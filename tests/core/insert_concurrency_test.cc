@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include "btree/bplus_tree.h"
+#include "common/thread_pool.h"
 #include "core/index.h"
 #include "core/vitri_builder.h"
 #include "storage/buffer_pool.h"
@@ -171,15 +172,16 @@ void RunMixedWorkload(ViTriIndex* index) {
     writer_done.store(true, std::memory_order_release);
   });
 
+  ThreadPool pool(3);
   std::vector<std::thread> readers;
   for (int r = 0; r < 3; ++r) {
     readers.emplace_back([&, r] {
       while (!writer_done.load(std::memory_order_acquire) &&
              !failed.load()) {
         if (r == 0) {
-          // Batched fan-out: a shared-latched pool of workers.
+          // Batched scatter: each task latches the index shared.
           auto results =
-              index->BatchKnn(w.queries, 5, KnnMethod::kComposed, 3);
+              index->BatchKnn(w.queries, 5, KnnMethod::kComposed, &pool);
           if (!results.ok() || results->size() != w.queries.size()) {
             failed.store(true);
             return;

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
 #include "core/index.h"
 #include "core/query_trace.h"
 #include "core/sharded_index.h"
@@ -207,7 +208,8 @@ TEST(QueryAccountingConcurrencyTest, BatchKnnTracesHoldEachQuerysOwnPages) {
 
   std::vector<QueryTrace> traces;
   QueryCosts batch_costs;
-  auto batch = index->BatchKnn(w.queries, 10, KnnMethod::kComposed, 8,
+  ThreadPool pool(8);
+  auto batch = index->BatchKnn(w.queries, 10, KnnMethod::kComposed, &pool,
                                &batch_costs, &traces);
   ASSERT_TRUE(batch.ok());
   ASSERT_EQ(traces.size(), w.queries.size());

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "common/json.h"
+#include "common/thread_pool.h"
 #include "core/index.h"
 #include "core/query_trace.h"
 #include "core/vitri_builder.h"
@@ -226,8 +227,9 @@ TEST(QueryTraceTest, BatchKnnFillsOneTracePerQuery) {
   ASSERT_TRUE(index.ok());
 
   std::vector<QueryTrace> traces;
+  ThreadPool pool(4);
   auto batch =
-      index->BatchKnn(w.queries, 10, KnnMethod::kComposed, 4, nullptr,
+      index->BatchKnn(w.queries, 10, KnnMethod::kComposed, &pool, nullptr,
                       &traces);
   ASSERT_TRUE(batch.ok());
   ASSERT_EQ(traces.size(), w.queries.size());

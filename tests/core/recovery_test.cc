@@ -354,6 +354,26 @@ TEST(RecoveryTest, OpenAdoptsSnapshotDimension) {
   ASSERT_TRUE(index->ValidateInvariants().ok());
 }
 
+// Open() builds through Build(), so it rejects an undersized pool shard
+// too, before building any tree and without touching the generation.
+TEST(RecoveryTest, OpenRejectsAPoolShardOfFewerThanEightFrames) {
+  const World& w = SharedWorld();
+  const std::string dir = TempPath("recovery_small_pool");
+  ViTriIndexOptions io;
+  io.dimension = w.db.dimension;
+  {
+    auto index = ViTriIndex::Build(w.InitialSet(), io);
+    ASSERT_TRUE(index.ok());
+    ASSERT_TRUE(index->EnableDurability(dir).ok());
+  }
+  ViTriIndexOptions small = io;
+  small.buffer_pool_pages = 3;
+  EXPECT_TRUE(ViTriIndex::Open(dir, small).status().IsInvalidArgument());
+  auto index = ViTriIndex::Open(dir, io);
+  ASSERT_TRUE(index.ok());
+  EXPECT_EQ(index->num_vitris(), w.InitialSet().vitris.size());
+}
+
 TEST(RecoveryTest, OpenRepairsTornWalTail) {
   const World& w = SharedWorld();
   const std::string dir = TempPath("recovery_torn");

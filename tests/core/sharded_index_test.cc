@@ -4,7 +4,8 @@
 // same video ids, same similarities at the repo-wide 6-decimal
 // precision, same (similarity desc, video id asc) tie-break — for any
 // shard count, either assignment, local or global reference points, and
-// batch or per-query execution. Around that: shard routing, lazy shard
+// batch or per-query execution (batch-vs-per-query bitwise equality is
+// in BatchKnnDeterminismTest). Around that: shard routing, lazy shard
 // creation, env resolution, the out-of-core builder, the clustered
 // local-vs-global pruning regression, seeded-corruption validator
 // checks, and the tsan scatter-gather stress fixture
@@ -15,7 +16,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <string>
 #include <thread>
@@ -25,6 +25,7 @@
 
 #include "common/metrics.h"
 #include "common/random.h"
+#include "common/thread_pool.h"
 #include "core/index.h"
 #include "core/out_of_core.h"
 #include "core/sharded_index.h"
@@ -145,41 +146,6 @@ TEST(ShardedIndexTest, KnnMatchesSingleShardForEveryShardCount) {
         ExpectSameResults(expected[q], *result,
                           "shards=" + std::to_string(shards) + " query " +
                               std::to_string(q));
-      }
-    }
-  }
-}
-
-TEST(ShardedIndexTest, BatchKnnMatchesPerQueryKnnBitwise) {
-  World w = MakeWorld(8);
-  auto index = ShardedViTriIndex::Build(w.set, Sharded(w, 4));
-  ASSERT_TRUE(index.ok());
-
-  for (const KnnMethod method :
-       {KnnMethod::kComposed, KnnMethod::kNaive}) {
-    std::vector<std::vector<VideoMatch>> sequential;
-    for (const BatchQuery& q : w.queries) {
-      auto result = index->Knn(q.vitris, q.num_frames, 10, method);
-      ASSERT_TRUE(result.ok());
-      sequential.push_back(std::move(*result));
-    }
-    for (const size_t threads : {size_t{1}, size_t{2}, size_t{4},
-                                 size_t{8}}) {
-      auto batch = index->BatchKnn(w.queries, 10, method, threads);
-      ASSERT_TRUE(batch.ok()) << "threads=" << threads;
-      ASSERT_EQ(batch->size(), sequential.size());
-      for (size_t q = 0; q < sequential.size(); ++q) {
-        ASSERT_EQ((*batch)[q].size(), sequential[q].size());
-        for (size_t i = 0; i < sequential[q].size(); ++i) {
-          EXPECT_EQ((*batch)[q][i].video_id, sequential[q][i].video_id);
-          // Same shards, same per-shard accumulation order: batch vs.
-          // per-query must be *bitwise* equal, not just 6 decimals.
-          EXPECT_EQ(std::memcmp(&(*batch)[q][i].similarity,
-                                &sequential[q][i].similarity,
-                                sizeof(double)),
-                    0)
-              << "threads=" << threads << " query " << q << " rank " << i;
-        }
       }
     }
   }
@@ -428,7 +394,9 @@ TEST(ShardedIndexTest, QueryOfWrongDimensionIsRejected) {
     EXPECT_TRUE(index->Knn(wide.vitris, wide.num_frames, 5, method)
                     .status()
                     .IsInvalidArgument());
-    EXPECT_TRUE(index->BatchKnn({good, wide}, 5, method, 2)
+    EXPECT_TRUE(index
+                    ->BatchKnn(std::vector<BatchQuery>{good, wide}, 5, method,
+                               nullptr)
                     .status()
                     .IsInvalidArgument());
   }
@@ -466,7 +434,9 @@ TEST(ShardedIndexTest, EachQueryIsRecordedOnceInTheKnnMetrics) {
 
   count_before = count->Value();
   const uint64_t pages_before = pages->Count();
-  ASSERT_TRUE(index->BatchKnn(w.queries, 5, KnnMethod::kComposed, 4).ok());
+  ThreadPool pool(4);
+  ASSERT_TRUE(
+      index->BatchKnn(w.queries, 5, KnnMethod::kComposed, &pool).ok());
   EXPECT_EQ(count->Value() - count_before, w.queries.size());
   EXPECT_EQ(pages->Count() - pages_before, w.queries.size());
 }
@@ -850,21 +820,24 @@ TEST(ShardedConcurrencyTest, ConcurrentBatchKnnAndInsertIsSafe) {
 
   std::atomic<bool> stop{false};
   std::atomic<int> query_failures{0};
+  // Both readers scatter on one shared executor, as a server's workers
+  // do.
+  ThreadPool pool(2);
   std::vector<std::thread> readers;
   for (int t = 0; t < 2; ++t) {
-    readers.emplace_back([&index, &w, &stop, &query_failures] {
-      // The pause between batches matters: BatchKnn holds the wrapper
-      // latch shared for the whole batch, and the platform rwlock may
-      // prefer readers — back-to-back batches from several readers
-      // would starve the writers' exclusive acquisition (lazy shard
-      // creation) indefinitely. Draining the shared count between
-      // iterations keeps the stress honest without the livelock.
+    readers.emplace_back([&index, &w, &stop, &query_failures, &pool] {
+      // The pause between batches matters: each task holds its shard's
+      // latch shared, and the platform rwlock may prefer readers —
+      // back-to-back batches from several readers would starve the
+      // writers' exclusive acquisition indefinitely. Draining the
+      // shared count between iterations keeps the stress honest
+      // without the livelock.
       const auto deadline =
           std::chrono::steady_clock::now() + std::chrono::seconds(30);
       while (!stop.load(std::memory_order_relaxed) &&
              std::chrono::steady_clock::now() < deadline) {
         auto batch =
-            index->BatchKnn(w.queries, 10, KnnMethod::kComposed, 2);
+            index->BatchKnn(w.queries, 10, KnnMethod::kComposed, &pool);
         if (!batch.ok() || batch->size() != w.queries.size()) {
           query_failures.fetch_add(1);
           return;

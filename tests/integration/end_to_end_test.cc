@@ -9,6 +9,7 @@
 #include <cstdlib>
 
 #include "common/os.h"
+#include "common/thread_pool.h"
 #include "core/ground_truth.h"
 #include "core/index.h"
 #include "core/similarity.h"
@@ -429,6 +430,7 @@ TEST_F(EndToEndTest, ShardedIndexMatchesSingleShardOnGoldenCorpus) {
     batch.push_back(BatchQuery{
         Summarize(query), static_cast<uint32_t>(query.num_frames())});
   }
+  ThreadPool pool(4);
   for (const KnnMethod method :
        {KnnMethod::kComposed, KnnMethod::kNaive}) {
     std::vector<std::vector<VideoMatch>> expected;
@@ -450,7 +452,7 @@ TEST_F(EndToEndTest, ShardedIndexMatchesSingleShardOnGoldenCorpus) {
             << "query " << q << " rank " << i;
       }
     }
-    auto batched = sharded->BatchKnn(batch, 5, method, 4);
+    auto batched = sharded->BatchKnn(batch, 5, method, &pool);
     ASSERT_TRUE(batched.ok());
     ASSERT_EQ(batched->size(), expected.size());
     for (size_t q = 0; q < expected.size(); ++q) {

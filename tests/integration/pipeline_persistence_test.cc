@@ -69,18 +69,6 @@ TEST(PipelinePersistenceTest, DiskRoundTripMatchesInMemory) {
     }
   }
 
-  // Frame point queries too.
-  const linalg::Vec& probe = db.videos[3].frames[17];
-  auto frames_memory = memory_index->FrameSearch(probe, 0.15, 5);
-  auto frames_disk = disk_index->FrameSearch(probe, 0.15, 5);
-  ASSERT_TRUE(frames_memory.ok() && frames_disk.ok());
-  ASSERT_EQ(frames_memory->size(), frames_disk->size());
-  for (size_t i = 0; i < frames_memory->size(); ++i) {
-    EXPECT_EQ((*frames_memory)[i].video_id, (*frames_disk)[i].video_id);
-    EXPECT_NEAR((*frames_memory)[i].similarity,
-                (*frames_disk)[i].similarity, 1e-12);
-  }
-
   std::remove(db_path.c_str());
   std::remove(snap_path.c_str());
 }

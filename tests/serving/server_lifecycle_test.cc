@@ -6,7 +6,7 @@
 //     requests admitted before the queue filled are still answered kOk;
 //   * deadlines — a request whose deadline lapses while queued is answered
 //     kDeadlineExceeded at dequeue without touching the index, and the
-//     deadline is re-checked between the per-query stages of execution;
+//     deadline is re-checked before each per-query stage of execution;
 //   * graceful shutdown — Shutdown() stops admission (kShuttingDown) but
 //     drains every queued and in-flight request, so no admitted request
 //     ever loses its ack.
@@ -21,9 +21,11 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
+#include <cstring>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -33,6 +35,7 @@
 
 #include "common/json.h"
 #include "core/index.h"
+#include "core/sharded_index.h"
 #include "core/vitri_builder.h"
 #include "serving/client.h"
 #include "video/synthesizer.h"
@@ -176,6 +179,34 @@ struct AsyncKnn {
   void Join() { thread.join(); }
 };
 
+/// A number from the stats document's "server" block, or from its
+/// "index" sub-block when `in_index` is set.
+double ServerStat(Server& server, const std::string& key,
+                  bool in_index = false) {
+  auto stats = json::ParseJson(server.BuildStatsJson());
+  EXPECT_TRUE(stats.ok()) << stats.status().ToString();
+  if (!stats.ok()) return -1.0;
+  const json::JsonValue* block = stats->Find("server");
+  if (block != nullptr && in_index) block = block->Find("index");
+  const json::JsonValue* value =
+      block == nullptr ? nullptr : block->Find(key);
+  EXPECT_NE(value, nullptr) << key;
+  return value == nullptr ? -1.0 : value->number;
+}
+
+/// An insert of video 0's ViTris under a new id.
+InsertRequest MakeInsert(const World& w, uint32_t video_id,
+                         uint64_t request_id) {
+  InsertRequest req;
+  req.request_id = request_id;
+  req.video_id = video_id;
+  req.num_frames = static_cast<uint32_t>(w.db.videos[0].num_frames());
+  req.vitris = QuerySummary(w.db.videos[0]);
+  for (core::ViTri& v : req.vitris) v.video_id = video_id;
+  req.dimension = static_cast<uint32_t>(req.vitris.front().dimension());
+  return req;
+}
+
 bool PollUntil(const std::function<bool()>& pred,
                std::chrono::milliseconds timeout = 30s) {
   const auto deadline = std::chrono::steady_clock::now() + timeout;
@@ -284,9 +315,9 @@ TEST(ServingLifecycleTest, KnnOfWrongDimensionIsAnInvalidRequest) {
 }
 
 // With trace_every = 1 every request is sampled, and each of its queries
-// leaves one trace in the stats document — on the batched path a request
-// without a deadline takes, and on the per-query path one with a
-// deadline takes.
+// leaves one trace in the stats document — from the one stage a request
+// without a deadline runs, and from the one-query stages of a request
+// with a deadline.
 void ExpectOneTracePerQuery(uint32_t deadline_ms) {
   ScopedDir dir;
   ASSERT_TRUE(dir.ok());
@@ -329,6 +360,151 @@ TEST(ServingLifecycleTest, SampledRequestKeepsOneTracePerQuery) {
 
 TEST(ServingLifecycleTest, SampledRequestWithADeadlineKeepsItsTraces) {
   ExpectOneTracePerQuery(/*deadline_ms=*/60'000);
+}
+
+// With knn_threads = 4 every request scatters its queries on the
+// server's one pool. A multi-query request still answers each query
+// bitwise like Knn() run alone, and keeps one trace per query holding
+// that query's own page reads.
+TEST(ServingLifecycleTest, PooledRequestMatchesSequentialKnnBitwise) {
+  ScopedDir dir;
+  ASSERT_TRUE(dir.ok());
+  World w = MakeWorld();
+  auto index = core::ViTriIndex::Build(w.set, DefaultOptions());
+  ASSERT_TRUE(index.ok());
+
+  KnnRequest req;
+  req.request_id = 70;
+  req.k = 3;
+  req.method = core::KnnMethod::kComposed;
+  req.dimension = static_cast<uint32_t>(w.db.dimension);
+  std::vector<std::vector<core::VideoMatch>> alone;
+  std::vector<uint64_t> alone_reads;
+  for (size_t v = 0; v < 4; ++v) {
+    core::BatchQuery q;
+    q.vitris = QuerySummary(w.db.videos[v]);
+    q.num_frames = static_cast<uint32_t>(w.db.videos[v].num_frames());
+    core::QueryCosts costs;
+    auto result = index->Knn(q.vitris, q.num_frames, req.k, req.method,
+                             &costs);
+    ASSERT_TRUE(result.ok());
+    alone.push_back(std::move(*result));
+    alone_reads.push_back(costs.page_accesses);
+    req.queries.push_back(std::move(q));
+  }
+
+  ServerOptions opts;
+  opts.unix_socket_path = dir.socket_path();
+  opts.knn_threads = 4;
+  opts.trace_every = 1;
+  Server server(&*index, opts);
+  ASSERT_TRUE(server.Start().ok());
+  auto client = Client::ConnectUnix(dir.socket_path());
+  ASSERT_TRUE(client.ok());
+  auto resp = client->Knn(req);
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  ASSERT_EQ(resp->head.status, WireStatus::kOk) << resp->error;
+  ASSERT_EQ(resp->results.size(), alone.size());
+  for (size_t q = 0; q < alone.size(); ++q) {
+    ASSERT_EQ(resp->results[q].size(), alone[q].size()) << "query " << q;
+    for (size_t i = 0; i < alone[q].size(); ++i) {
+      EXPECT_EQ(resp->results[q][i].video_id, alone[q][i].video_id);
+      EXPECT_EQ(std::memcmp(&resp->results[q][i].similarity,
+                            &alone[q][i].similarity, sizeof(double)),
+                0)
+          << "query " << q << " rank " << i;
+    }
+  }
+
+  auto stats = json::ParseJson(server.BuildStatsJson());
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  const json::JsonValue* traces = stats->Find("recent_traces");
+  ASSERT_NE(traces, nullptr);
+  ASSERT_EQ(traces->array.size(), alone.size());
+  for (size_t q = 0; q < alone.size(); ++q) {
+    const json::JsonValue* spans = traces->array[q].Find("spans");
+    ASSERT_NE(spans, nullptr);
+    double reads = 0.0;
+    for (const json::JsonValue& span : spans->array) {
+      const json::JsonValue* io = span.Find("io");
+      ASSERT_NE(io, nullptr);
+      reads += io->Find("logical_reads")->number;
+    }
+    EXPECT_EQ(reads, static_cast<double>(alone_reads[q])) << "query " << q;
+  }
+  EXPECT_TRUE(server.Shutdown().ok());
+}
+
+// Every OK response counts once in responses_ok, an acked insert
+// included.
+TEST(ServingLifecycleTest, ResponsesOkCountsEachOkResponseOnce) {
+  ScopedDir dir;
+  ASSERT_TRUE(dir.ok());
+  World w = MakeWorld();
+  auto index = core::ViTriIndex::Build(w.set, DefaultOptions());
+  ASSERT_TRUE(index.ok());
+  const auto query = QuerySummary(w.db.videos[0]);
+  const auto frames = static_cast<uint32_t>(w.db.videos[0].num_frames());
+
+  ServerOptions opts;
+  opts.unix_socket_path = dir.socket_path();
+  Server server(&*index, opts);
+  ASSERT_TRUE(server.Start().ok());
+  auto client = Client::ConnectUnix(dir.socket_path());
+  ASSERT_TRUE(client.ok());
+  auto knn = client->Knn(MakeKnn(query, frames, 80));
+  ASSERT_TRUE(knn.ok());
+  EXPECT_EQ(knn->head.status, WireStatus::kOk);
+  auto insert = client->Insert(MakeInsert(w, 500, 81));
+  ASSERT_TRUE(insert.ok());
+  EXPECT_EQ(insert->head.status, WireStatus::kOk);
+  auto pong = client->Ping(82);
+  ASSERT_TRUE(pong.ok());
+  EXPECT_EQ(pong->head.status, WireStatus::kOk);
+  EXPECT_EQ(ServerStat(server, "responses_ok"), 3.0);
+  EXPECT_TRUE(server.Shutdown().ok());
+}
+
+// "videos" in the stats document counts stored videos on both index
+// types, not the single index's id extent: an insert far past the last
+// id adds one video to either.
+TEST(ServingLifecycleTest, StatsCountStoredVideosOnBothIndexTypes) {
+  World w = MakeWorld();
+  const double stored = static_cast<double>(
+      std::count_if(w.set.frame_counts.begin(), w.set.frame_counts.end(),
+                    [](uint32_t frames) { return frames > 0; }));
+  auto single = core::ViTriIndex::Build(w.set, DefaultOptions());
+  ASSERT_TRUE(single.ok());
+  core::ShardedIndexOptions sharded_options;
+  sharded_options.num_shards = 1;
+  sharded_options.shard_options = DefaultOptions();
+  auto sharded = core::ShardedViTriIndex::Build(w.set, sharded_options);
+  ASSERT_TRUE(sharded.ok());
+
+  const auto videos_after_insert = [&](Server& server,
+                                       const std::string& socket) {
+    EXPECT_TRUE(server.Start().ok());
+    auto client = Client::ConnectUnix(socket);
+    EXPECT_TRUE(client.ok());
+    if (!client.ok()) return -1.0;
+    auto insert = client->Insert(MakeInsert(w, 100000, 90));
+    EXPECT_TRUE(insert.ok() && insert->head.status == WireStatus::kOk);
+    const double videos = ServerStat(server, "videos", /*in_index=*/true);
+    EXPECT_TRUE(server.Shutdown().ok());
+    return videos;
+  };
+  ScopedDir single_dir;
+  ScopedDir sharded_dir;
+  ASSERT_TRUE(single_dir.ok() && sharded_dir.ok());
+  ServerOptions opts;
+  opts.unix_socket_path = single_dir.socket_path();
+  Server single_server(&*single, opts);
+  EXPECT_EQ(videos_after_insert(single_server, single_dir.socket_path()),
+            stored + 1);
+  opts.unix_socket_path = sharded_dir.socket_path();
+  Server sharded_server(&*sharded, opts);
+  EXPECT_EQ(videos_after_insert(sharded_server, sharded_dir.socket_path()),
+            stored + 1);
 }
 
 TEST(ServingLifecycleTest, AdmissionRejectsWithOverloadedWhenQueueIsFull) {
@@ -456,7 +632,8 @@ TEST(ServingLifecycleTest, DeadlineIsRecheckedBetweenExecutionStages) {
 
   // The request passes the dequeue-time check (the deadline is still
   // comfortably in the future), parks at the execute hook, and the
-  // deadline lapses there — the between-stages check must catch it.
+  // deadline lapses there — the check before the first stage must catch
+  // it.
   AsyncKnn stalled;
   stalled.Start(dir.socket_path(),
                 MakeKnn(query, frames, 30, /*deadline_ms=*/300,

@@ -30,12 +30,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/json.h"
 #include "common/metrics.h"
 #include "common/simd_policy.h"
+#include "common/thread_pool.h"
 #include "core/ground_truth.h"
 #include "core/query_trace.h"
 #include "core/index.h"
@@ -181,7 +183,9 @@ int ExerciseMetrics() {
     batch.push_back(core::BatchQuery{
         std::move(*summary), static_cast<uint32_t>(dup.num_frames())});
   }
-  auto batched = index->BatchKnn(batch, 10, core::KnnMethod::kComposed, 2);
+  ThreadPool pool(2);
+  auto batched =
+      index->BatchKnn(batch, 10, core::KnnMethod::kComposed, &pool);
   if (!batched.ok()) return Fail(batched.status());
   // The same corpus behind a sharded index (count resolved via
   // VITRI_INDEX_SHARDS, >= 1), so the index.shard.<i>.* gauges report
@@ -191,7 +195,7 @@ int ExerciseMetrics() {
   auto sharded = core::ShardedViTriIndex::Build(*set, sharded_opts);
   if (!sharded.ok()) return Fail(sharded.status());
   auto sharded_batch =
-      sharded->BatchKnn(batch, 10, core::KnnMethod::kComposed, 2);
+      sharded->BatchKnn(batch, 10, core::KnnMethod::kComposed, &pool);
   if (!sharded_batch.ok()) return Fail(sharded_batch.status());
   return 0;
 }
@@ -313,6 +317,8 @@ int CmdQuery(const Args& args) {
   const size_t k = static_cast<size_t>(args.GetLong("--k", 10));
   const size_t threads =
       static_cast<size_t>(std::max(args.GetLong("--threads", 1), 1L));
+  const auto pool =
+      threads > 1 ? std::make_unique<ThreadPool>(threads) : nullptr;
   core::QueryCosts costs;
   // The batched path is the one production uses; a single query simply
   // forms a batch of one (results are identical either way).
@@ -344,13 +350,13 @@ int CmdQuery(const Args& args) {
     std::printf("index shards: %zu (%zu live, %s assignment)\n",
                 sharded->num_shards(), sharded->live_shards(),
                 core::ShardAssignmentName(sharded->assignment()));
-    auto r = sharded->BatchKnn(batch, k, method, threads, &costs);
+    auto r = sharded->BatchKnn(batch, k, method, pool.get(), &costs);
     if (!r.ok()) return Fail(r.status());
     batch_results = std::move(*r);
   } else {
     auto index = core::LoadIndexSnapshot(snapshot, io);
     if (!index.ok()) return Fail(index.status());
-    auto r = index->BatchKnn(batch, k, method, threads, &costs,
+    auto r = index->BatchKnn(batch, k, method, pool.get(), &costs,
                              traced ? &traces : nullptr);
     if (!r.ok()) return Fail(r.status());
     batch_results = std::move(*r);

@@ -341,7 +341,7 @@ int CmdServe(const Args& args) {
   serving::Server server(&*index,
                          ServerOptionsFromFlags(args, socket_path, port));
   return ServeLoop(&server, socket_path,
-                   std::to_string(index->num_videos()) + " videos");
+                   std::to_string(index->stored_videos()) + " videos");
 }
 
 Result<serving::Client> ConnectFromArgs(const Args& args) {
